@@ -161,7 +161,8 @@ fn bench_train_batched_forward(c: &mut Criterion) {
     let graphs: Vec<&PlacementGraph> = data.iter().map(|(g, _)| g).collect();
     let targets: Vec<&[chainnet::data::ChainTargets]> =
         data.iter().map(|(_, t)| t.as_slice()).collect();
-    let packed = GraphBatch::pack(&graphs, &targets, net.config().target_mode);
+    let packed = GraphBatch::pack(&graphs, net.config().target_mode);
+    let targets = packed.pack_targets(&graphs, &targets);
     group.throughput(Throughput::Elements(batch as u64));
 
     group.bench_function("sequential_f64", |b| {
@@ -181,7 +182,7 @@ fn bench_train_batched_forward(c: &mut Criterion) {
         let mut store: ParamStore = net.params().cast();
         b.iter(|| {
             tape.reset();
-            let loss = net.batched_loss(&mut tape, &store, &packed);
+            let loss = net.batched_loss(&mut tape, &store, &packed, &targets);
             tape.backward(loss);
             tape.accumulate_param_grads(&mut store);
             store.zero_grads();
@@ -192,7 +193,7 @@ fn bench_train_batched_forward(c: &mut Criterion) {
         let mut store: ParamStore<f32> = net.params().cast();
         b.iter(|| {
             tape.reset();
-            let loss = net.batched_loss(&mut tape, &store, &packed);
+            let loss = net.batched_loss(&mut tape, &store, &packed, &targets);
             tape.backward(loss);
             tape.accumulate_param_grads(&mut store);
             store.zero_grads();

@@ -1,15 +1,17 @@
-//! Mini-batch packing of placement heterographs for batched training.
+//! Mini-batch packing of placement heterographs and the batched forward.
 //!
 //! [`GraphBatch`] packs `B` placement graphs into one padded, masked
 //! batch: every algorithm slot of ChainNet's forward pass (per-chain
 //! service state, per-step fragment state, per-device state) becomes a
 //! `(B, h)` matrix with one row per graph, padded to the maximum
-//! chain/step/device counts across the batch. [`ChainNet::batched_loss`]
+//! chain/step/device counts across the batch. [`ChainNet::batched_forward`]
 //! then runs Algorithm 2 *on the tape* with the row-batched ops
 //! (`matmul_bt`, `select_rows`, `masked_softmax_rows`,
 //! `weighted_sum_rows`), so each GRU step, attention head, and readout is
-//! a few large matmuls instead of `B` small matvecs — the training-side
-//! counterpart of the tape-free [`crate::batch_infer`] path.
+//! a few large matmuls instead of `B` small matvecs. It is the one
+//! batched forward: training reduces its outputs to a masked loss
+//! ([`ChainNet::batched_loss`]) and inference reads them row by row
+//! ([`crate::model::Surrogate::predict_batch`]), for graphs of any shape.
 //!
 //! # Padding and masking scheme
 //!
@@ -29,17 +31,20 @@
 //!   sequential path's `msgs.len() == 1` branch) via another
 //!   `select_rows` blend.
 //! * **Loss masking**: per-chain outputs of padded rows are routed to a
-//!   zero leaf before the squared error (targets are padded with zeros),
-//!   so the batch loss is the *sum over real chains only* — the same
-//!   Eq. 13 numerator the sequential [`crate::model::Surrogate::loss_on_graph`]
-//!   builds, and the trainer's `1/(2Q)` scale uses [`GraphBatch::total_chains`].
+//!   zero leaf before the squared error (targets, packed separately by
+//!   [`GraphBatch::pack_targets`], are zero there too), so the batch
+//!   loss is the *sum over real chains only* — the same Eq. 13 numerator
+//!   the sequential [`crate::model::Surrogate::loss_on_graph`] builds,
+//!   and the trainer's `1/(2Q)` scale uses [`GraphBatch::total_chains`].
 //!
 //! The only intentional numeric deviation from the sequential tape is
 //! the latency readout: the per-chain fragment mean becomes one
 //! `weighted_sum_rows` with weights `1/T_i` (`Ratio` mode) or `1`
 //! (`Absolute` mode, where the sequential path computes `(Σv/T)·T`),
-//! which reassociates the division by `T_i`. The equivalence tests bound
-//! the resulting difference at `1e-9` for `f64`.
+//! which reassociates the division by `T_i`. Throughput outputs are
+//! therefore bit-identical to the sequential forward, and latency
+//! outputs agree to within rounding (the tests bound it at `1e-12`
+//! relative for predictions and `1e-9` for losses and gradients).
 
 use crate::config::{FeatureMode, TargetMode};
 use crate::data::{targets_to_learning_space, ChainTargets};
@@ -51,18 +56,17 @@ use chainnet_neural::tape::{Tape, Var};
 use chainnet_neural::tensor::Tensor;
 
 /// A batch of `B` placement graphs packed into padded, masked slot
-/// matrices, with learning-space targets, ready for
-/// [`ChainNet::batched_loss`].
+/// matrices, ready for [`ChainNet::batched_forward`].
 ///
-/// Packing is dtype-agnostic: features and targets are stored as `f64`
-/// and cast to the training scalar when the loss leaves are created.
+/// Packing is dtype-agnostic: features are stored as `f64` and cast to
+/// the tape's scalar when the input leaves are created.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphBatch {
     /// Number of graphs `B`.
     batch_size: usize,
     /// Feature mode shared by every graph in the batch.
     feature_mode: FeatureMode,
-    /// Target mode the learning-space targets were computed with.
+    /// Target mode the latency-readout weights were computed for.
     target_mode: TargetMode,
     /// Step slots per chain slot: `T_max(i)`, length `C_max`.
     steps_per_chain: Vec<usize>,
@@ -99,40 +103,28 @@ pub struct GraphBatch {
     /// Latency-readout weights, `[i] -> (B * T_max(i))`: `1/T_i` per
     /// valid step in `Ratio` mode, `1` in `Absolute` mode, `0` on padding.
     lat_weights: Vec<Vec<f64>>,
-    /// Learning-space throughput targets, `[i] -> B` (zero on padding).
-    tput_targets: Vec<Vec<f64>>,
-    /// Learning-space latency targets, `[i] -> B` (zero on padding).
-    lat_targets: Vec<Vec<f64>>,
     /// Total number of real chains `Q` across the batch (the Eq. 13
     /// denominator is `2Q`).
     total_chains: usize,
 }
 
 impl GraphBatch {
-    /// Pack `graphs` and their aligned per-chain `targets` into one
-    /// padded batch. Targets are converted to learning space per graph
-    /// with `target_mode` at pack time.
+    /// Pack `graphs` into one padded batch for a model whose latency
+    /// readout follows `target_mode`.
     ///
     /// # Panics
     ///
-    /// Panics if `graphs` is empty, `targets` is not aligned with
-    /// `graphs` (outer and per-chain lengths), or the graphs disagree on
-    /// the feature mode.
-    pub fn pack(
-        graphs: &[&PlacementGraph],
-        targets: &[&[ChainTargets]],
-        target_mode: TargetMode,
-    ) -> Self {
+    /// Panics if `graphs` is empty or the graphs disagree on the feature
+    /// mode.
+    pub fn pack(graphs: &[&PlacementGraph], target_mode: TargetMode) -> Self {
         assert!(!graphs.is_empty(), "GraphBatch::pack on an empty batch");
-        assert_eq!(graphs.len(), targets.len(), "graph/target count mismatch");
         let bsz = graphs.len();
         let feature_mode = graphs[0].feature_mode;
-        for (g, t) in graphs.iter().zip(targets) {
+        for g in graphs {
             assert_eq!(
                 g.feature_mode, feature_mode,
                 "mixed feature modes in one batch"
             );
-            assert_eq!(g.num_chains(), t.len(), "target count mismatch");
         }
 
         let c_max = graphs.iter().map(|g| g.chains.len()).max().unwrap_or(0);
@@ -180,11 +172,9 @@ impl GraphBatch {
             .iter()
             .map(|&t| vec![0.0; bsz * t])
             .collect();
-        let mut tput_targets = vec![vec![0.0; bsz]; c_max];
-        let mut lat_targets = vec![vec![0.0; bsz]; c_max];
         let mut total_chains = 0usize;
 
-        for (b, (graph, tgts)) in graphs.iter().zip(targets).enumerate() {
+        for (b, graph) in graphs.iter().enumerate() {
             total_chains += graph.chains.len();
             for (i, chain) in graph.chains.iter().enumerate() {
                 chain_pad[i][b] = 0;
@@ -203,9 +193,6 @@ impl GraphBatch {
                     step_pad[flat][b] = 0;
                     lat_weights[i][b * steps_per_chain[i] + j] = step_w;
                 }
-                let (t_gt, l_gt) = targets_to_learning_space(target_mode, graph, i, tgts[i]);
-                tput_targets[i][b] = t_gt;
-                lat_targets[i][b] = l_gt;
             }
             for (k, dev) in graph.devices.iter().enumerate() {
                 dev_feats[k][b * ddim..(b + 1) * ddim].copy_from_slice(&dev.feat);
@@ -253,10 +240,37 @@ impl GraphBatch {
             dev_m_choice,
             dev_pad,
             lat_weights,
-            tput_targets,
-            lat_targets,
             total_chains,
         }
+    }
+
+    /// Convert the per-chain `targets` of the graphs this batch was
+    /// packed from (same graphs, same order) to learning space, laid out
+    /// on the batch's chain slots for [`ChainNet::batched_loss`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graphs` or `targets` is not aligned with the batch
+    /// (outer and per-chain lengths).
+    pub fn pack_targets(
+        &self,
+        graphs: &[&PlacementGraph],
+        targets: &[&[ChainTargets]],
+    ) -> BatchTargets {
+        assert_eq!(graphs.len(), self.batch_size, "graph count mismatch");
+        assert_eq!(graphs.len(), targets.len(), "graph/target count mismatch");
+        let c_max = self.num_chain_slots();
+        let mut tput = vec![vec![0.0; self.batch_size]; c_max];
+        let mut lat = vec![vec![0.0; self.batch_size]; c_max];
+        for (b, (graph, tgts)) in graphs.iter().zip(targets).enumerate() {
+            assert_eq!(graph.num_chains(), tgts.len(), "target count mismatch");
+            for (i, &t) in tgts.iter().enumerate() {
+                let (t_gt, l_gt) = targets_to_learning_space(self.target_mode, graph, i, t);
+                tput[i][b] = t_gt;
+                lat[i][b] = l_gt;
+            }
+        }
+        BatchTargets { tput, lat }
     }
 
     /// Number of graphs in the batch.
@@ -280,6 +294,29 @@ impl GraphBatch {
     }
 }
 
+/// Learning-space targets of a [`GraphBatch`], one `B`-vector per chain
+/// slot (zero on padded rows), from [`GraphBatch::pack_targets`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchTargets {
+    /// Throughput targets, `[i] -> B`.
+    tput: Vec<Vec<f64>>,
+    /// Latency targets, `[i] -> B`.
+    lat: Vec<Vec<f64>>,
+}
+
+/// The padding blend `select_rows([updated, previous], keep)`: row `b`
+/// takes `updated` where `keep[b] == 0` and `previous` otherwise. When no
+/// row keeps its previous state the blend is `updated` itself and no copy
+/// is recorded. `updated` feeds nothing but the blend, so skipping the
+/// copy changes no value and no parameter gradient.
+fn blend<S: Scalar>(tape: &mut Tape<S>, updated: Var, previous: Var, keep: &[u32]) -> Var {
+    if keep.iter().all(|&c| c == 0) {
+        updated
+    } else {
+        tape.select_rows(&[updated, previous], keep)
+    }
+}
+
 /// Create a `(rows, cols)` leaf from packed `f64` data, cast to `S`.
 fn leaf_matrix<S: Scalar>(tape: &mut Tape<S>, rows: usize, cols: usize, data: &[f64]) -> Var {
     let cast: Vec<S> = data.iter().map(|&x| S::from_f64(x)).collect();
@@ -288,31 +325,75 @@ fn leaf_matrix<S: Scalar>(tape: &mut Tape<S>, rows: usize, cols: usize, data: &[
 
 impl ChainNet {
     /// Batched Eq. 13 numerator: the sum over every real chain of the
-    /// batch of `(X̂ - X)² + (L̂ - L)²` in learning space, built on the
-    /// tape in one padded forward pass (Algorithm 2 with `(B, ·)` slot
-    /// matrices). The trainer divides by `2Q` with
-    /// [`GraphBatch::total_chains`].
+    /// batch of `(X̂ - X)² + (L̂ - L)²` in learning space, reduced on the
+    /// tape from [`ChainNet::batched_forward`] with padded rows masked
+    /// out. The trainer divides by `2Q` with [`GraphBatch::total_chains`].
     ///
-    /// For each real row the arithmetic follows the sequential
-    /// [`ChainNet::forward`] op for op (see the module docs for the one
-    /// readout deviation), so a `B = 1` batch reproduces
+    /// A `B = 1` batch reproduces
     /// [`crate::model::Surrogate::loss_on_graph`] to within rounding of
     /// the latency mean, and any `B > 1` batch matches the sum of
     /// sequential per-graph losses at the same tolerance.
     ///
-    /// `store` may be the model's own store or a dtype-cast copy with
-    /// the same parameter layout ([`ParamStore::cast`]).
-    ///
     /// # Panics
     ///
-    /// Panics if the batch was packed with a different feature or target
-    /// mode than this model's configuration.
+    /// Panics as [`ChainNet::batched_forward`] does, or if `targets` was
+    /// packed for a batch with a different chain-slot layout.
     pub fn batched_loss<S: Scalar>(
         &self,
         tape: &mut Tape<S>,
         store: &ParamStore<S>,
         batch: &GraphBatch,
+        targets: &BatchTargets,
     ) -> Var {
+        assert_eq!(
+            targets.tput.len(),
+            batch.num_chain_slots(),
+            "targets packed for a different batch"
+        );
+        let bsz = batch.batch_size;
+        let outputs = self.batched_forward(tape, store, batch);
+        let zero_b1 = tape.leaf(Tensor::matrix(bsz, 1, vec![S::ZERO; bsz]));
+        let mut total: Option<Var> = None;
+        for (i, (t_out, l_out)) in outputs.into_iter().enumerate() {
+            // Padded rows contribute (0 - 0)^2 = 0 to the reduction.
+            let t_m = blend(tape, t_out, zero_b1, &batch.chain_pad[i]);
+            let l_m = blend(tape, l_out, zero_b1, &batch.chain_pad[i]);
+            let t_gt = leaf_matrix(tape, bsz, 1, &targets.tput[i]);
+            let l_gt = leaf_matrix(tape, bsz, 1, &targets.lat[i]);
+            let t_err = tape.squared_error(t_m, t_gt);
+            let l_err = tape.squared_error(l_m, l_gt);
+            let s = tape.add(t_err, l_err);
+            total = Some(match total {
+                Some(acc) => tape.add(acc, s),
+                None => s,
+            });
+        }
+        // lint:allow(panic): pack() rejects empty batches and SystemModel
+        // validation rejects graphs with zero chains
+        total.expect("batch has at least one chain slot")
+    }
+
+    /// Run Algorithm 2 on the tape for a whole padded batch, returning
+    /// per chain slot `i` the learning-space `(throughput, latency)`
+    /// outputs as `(B, 1)` nodes; row `b` belongs to graph `b`, and rows
+    /// of graphs without an `i`-th chain hold meaningless values.
+    ///
+    /// For each real row the arithmetic follows the sequential
+    /// [`ChainNet::forward`] op for op (see the module docs for the one
+    /// readout deviation). `store` may be the model's own store or a
+    /// dtype-cast copy with the same parameter layout
+    /// ([`ParamStore::cast`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch was packed with a different feature or target
+    /// mode than this model's configuration.
+    pub fn batched_forward<S: Scalar>(
+        &self,
+        tape: &mut Tape<S>,
+        store: &ParamStore<S>,
+        batch: &GraphBatch,
+    ) -> Vec<(Var, Var)> {
         assert_eq!(
             batch.feature_mode, self.config.feature_mode,
             "batch feature mode differs from the model's"
@@ -374,14 +455,13 @@ impl ChainNet {
                     let m_c = tape.concat_cols(&[frag_prev[i][j], dev_rows]);
                     // Eq. 4, blended so padded rows keep their state.
                     let c_cand = self.phi_c.forward_rows(tape, store, m_c, h_i);
-                    h_i = tape.select_rows(&[c_cand, h_i], &batch.step_pad[flat]);
+                    h_i = blend(tape, c_cand, h_i, &batch.step_pad[flat]);
                     step_service[i].push(h_i);
                     // Eq. 8: m_F = [h_i^(n),j || h_k^(n-1)].
                     let m_f = tape.concat_cols(&[h_i, dev_rows]);
                     // Eq. 7, blended like Eq. 4.
                     let f_cand = self.phi_f.forward_rows(tape, store, m_f, frag_prev[i][j]);
-                    h_frag[i][j] =
-                        tape.select_rows(&[f_cand, frag_prev[i][j]], &batch.step_pad[flat]);
+                    h_frag[i][j] = blend(tape, f_cand, frag_prev[i][j], &batch.step_pad[flat]);
                 }
                 // Eq. 5.
                 h_service[i] = h_i;
@@ -409,44 +489,29 @@ impl ChainNet {
                     // take their lone message verbatim.
                     let m_att =
                         self.aggregate_rows(tape, store, *h_k, &msgs, &batch.dev_attn_mask[k]);
-                    tape.select_rows(&[m_att, msgs[0]], &batch.dev_m_choice[k])
+                    blend(tape, m_att, msgs[0], &batch.dev_m_choice[k])
                 };
                 // Eq. 9, blended so device-padding rows keep their state.
                 let d_cand = self.phi_d.forward_rows(tape, store, m_d, *h_k);
-                *h_k = tape.select_rows(&[d_cand, *h_k], &batch.dev_pad[k]);
+                *h_k = blend(tape, d_cand, *h_k, &batch.dev_pad[k]);
             }
         }
 
-        // Line 17 / Eq. 12: prediction heads and masked loss reduction.
-        let zero_b1 = tape.leaf(Tensor::matrix(bsz, 1, vec![S::ZERO; bsz]));
-        let mut total: Option<Var> = None;
-        for i in 0..c_max {
-            let lat_w = leaf_matrix(tape, bsz, batch.steps_per_chain[i], &batch.lat_weights[i]);
-            // Masked fragment mean (Ratio) or sum (Absolute): one
-            // weighted_sum_rows replaces mean_vecs + affine.
-            let lat_latent = tape.weighted_sum_rows(lat_w, &h_frag[i]);
-            let t_raw = self.mlp_tput.forward_rows(tape, store, h_service[i]);
-            let l_raw = self.mlp_latency.forward_rows(tape, store, lat_latent);
-            let (t_out, l_out) = match self.config.target_mode {
-                TargetMode::Ratio => (tape.sigmoid(t_raw), tape.sigmoid(l_raw)),
-                TargetMode::Absolute => (t_raw, l_raw),
-            };
-            // Padded rows contribute (0 - 0)^2 = 0 to the reduction.
-            let t_m = tape.select_rows(&[t_out, zero_b1], &batch.chain_pad[i]);
-            let l_m = tape.select_rows(&[l_out, zero_b1], &batch.chain_pad[i]);
-            let t_gt = leaf_matrix(tape, bsz, 1, &batch.tput_targets[i]);
-            let l_gt = leaf_matrix(tape, bsz, 1, &batch.lat_targets[i]);
-            let t_err = tape.squared_error(t_m, t_gt);
-            let l_err = tape.squared_error(l_m, l_gt);
-            let s = tape.add(t_err, l_err);
-            total = Some(match total {
-                Some(acc) => tape.add(acc, s),
-                None => s,
-            });
-        }
-        // lint:allow(panic): pack() rejects empty batches and SystemModel
-        // validation rejects graphs with zero chains
-        total.expect("batch has at least one chain slot")
+        // Line 17 / Eq. 12: prediction heads.
+        (0..c_max)
+            .map(|i| {
+                let lat_w = leaf_matrix(tape, bsz, batch.steps_per_chain[i], &batch.lat_weights[i]);
+                // Masked fragment mean (Ratio) or sum (Absolute): one
+                // weighted_sum_rows replaces mean_vecs + affine.
+                let lat_latent = tape.weighted_sum_rows(lat_w, &h_frag[i]);
+                let t_raw = self.mlp_tput.forward_rows(tape, store, h_service[i]);
+                let l_raw = self.mlp_latency.forward_rows(tape, store, lat_latent);
+                match self.config.target_mode {
+                    TargetMode::Ratio => (tape.sigmoid(t_raw), tape.sigmoid(l_raw)),
+                    TargetMode::Absolute => (t_raw, l_raw),
+                }
+            })
+            .collect()
     }
 
     /// Row-batched attention aggregation `f_multi` (Eqs. 14-16): the
@@ -560,8 +625,7 @@ mod tests {
     fn pack_counts_padding_and_chains() {
         let data = mixed_batch();
         let graphs: Vec<&PlacementGraph> = data.iter().map(|(g, _)| g).collect();
-        let tgts: Vec<&[ChainTargets]> = data.iter().map(|(_, t)| t.as_slice()).collect();
-        let batch = GraphBatch::pack(&graphs, &tgts, TargetMode::Ratio);
+        let batch = GraphBatch::pack(&graphs, TargetMode::Ratio);
         assert_eq!(batch.batch_size(), 4);
         assert_eq!(batch.num_chain_slots(), 3);
         assert_eq!(batch.steps_per_chain, vec![3, 3, 1]);
@@ -578,9 +642,10 @@ mod tests {
         let data = mixed_batch();
         let graphs: Vec<&PlacementGraph> = data.iter().map(|(g, _)| g).collect();
         let tgts: Vec<&[ChainTargets]> = data.iter().map(|(_, t)| t.as_slice()).collect();
-        let batch = GraphBatch::pack(&graphs, &tgts, net.config.target_mode);
+        let batch = GraphBatch::pack(&graphs, net.config.target_mode);
+        let targets = batch.pack_targets(&graphs, &tgts);
         let mut tape = Tape::new();
-        let loss = net.batched_loss(&mut tape, &net.store, &batch);
+        let loss = net.batched_loss(&mut tape, &net.store, &batch, &targets);
         let batched = tape.value(loss).item();
         let sequential = sequential_loss_sum(&net, &data);
         let rel = (batched - sequential).abs() / sequential.abs().max(1e-30);
@@ -595,9 +660,10 @@ mod tests {
         let net = ChainNet::new(ModelConfig::small(), 11);
         let g = graph_of(vec![vec![0, 1], vec![1, 2, 0]], &[0.5, 0.3]);
         let t = targets_for(&g, 0.0);
-        let batch = GraphBatch::pack(&[&g], &[t.as_slice()], net.config.target_mode);
+        let batch = GraphBatch::pack(&[&g], net.config.target_mode);
+        let targets = batch.pack_targets(&[&g], &[t.as_slice()]);
         let mut tape = Tape::new();
-        let loss = net.batched_loss(&mut tape, &net.store, &batch);
+        let loss = net.batched_loss(&mut tape, &net.store, &batch, &targets);
         let batched = tape.value(loss).item();
         let mut seq_tape = Tape::new();
         let seq = net.loss_on_graph(&mut seq_tape, &g, &t);
@@ -632,9 +698,10 @@ mod tests {
         // Batched: one tape, one backward.
         let graphs: Vec<&PlacementGraph> = data.iter().map(|(g, _)| g).collect();
         let tgts: Vec<&[ChainTargets]> = data.iter().map(|(_, t)| t.as_slice()).collect();
-        let batch = GraphBatch::pack(&graphs, &tgts, net.config.target_mode);
+        let batch = GraphBatch::pack(&graphs, net.config.target_mode);
+        let targets = batch.pack_targets(&graphs, &tgts);
         let mut btape = Tape::new();
-        let loss = net.batched_loss(&mut btape, &net.store, &batch);
+        let loss = net.batched_loss(&mut btape, &net.store, &batch, &targets);
         btape.backward(loss);
         btape.accumulate_param_grads(net.params_mut());
 
@@ -672,15 +739,16 @@ mod tests {
         let data = mixed_batch();
         let graphs: Vec<&PlacementGraph> = data.iter().map(|(g, _)| g).collect();
         let tgts: Vec<&[ChainTargets]> = data.iter().map(|(_, t)| t.as_slice()).collect();
-        let batch = GraphBatch::pack(&graphs, &tgts, net.config.target_mode);
+        let batch = GraphBatch::pack(&graphs, net.config.target_mode);
+        let targets = batch.pack_targets(&graphs, &tgts);
 
         let mut tape64 = Tape::new();
-        let l64 = net.batched_loss(&mut tape64, &net.store, &batch);
+        let l64 = net.batched_loss(&mut tape64, &net.store, &batch, &targets);
         let v64 = tape64.value(l64).item();
 
         let store32: ParamStore<f32> = net.store.cast();
         let mut tape32 = Tape::<f32>::new();
-        let l32 = net.batched_loss(&mut tape32, &store32, &batch);
+        let l32 = net.batched_loss(&mut tape32, &store32, &batch, &targets);
         let v32 = f64::from(tape32.value(l32).item());
 
         let rel = (v64 - v32).abs() / v64.abs().max(1e-30);
@@ -709,9 +777,10 @@ mod tests {
         .collect();
         let graphs: Vec<&PlacementGraph> = data.iter().map(|(g, _)| g).collect();
         let tgts: Vec<&[ChainTargets]> = data.iter().map(|(_, t)| t.as_slice()).collect();
-        let batch = GraphBatch::pack(&graphs, &tgts, net.config.target_mode);
+        let batch = GraphBatch::pack(&graphs, net.config.target_mode);
+        let targets = batch.pack_targets(&graphs, &tgts);
         let mut tape = Tape::new();
-        let loss = net.batched_loss(&mut tape, &net.store, &batch);
+        let loss = net.batched_loss(&mut tape, &net.store, &batch, &targets);
         let batched = tape.value(loss).item();
         let sequential = sequential_loss_sum(&net, &data);
         let rel = (batched - sequential).abs() / sequential.abs().max(1e-30);

@@ -43,7 +43,6 @@
 
 pub mod ablation;
 pub mod baselines;
-mod batch_infer;
 pub mod calibrate;
 pub mod config;
 pub mod data;
@@ -60,7 +59,7 @@ pub use calibrate::{AffineCorrection, CalibratedSurrogate};
 pub use config::{FeatureMode, ModelConfig, TargetMode, TrainConfig};
 pub use data::{ChainTargets, LabeledGraph};
 pub use graph::PlacementGraph;
-pub use graph_batch::GraphBatch;
+pub use graph_batch::{BatchTargets, GraphBatch};
 pub use metrics::{ApeCollector, ApeSummary};
 pub use model::{AttentionRecord, ChainNet, ForwardTrace, PerfPrediction, Surrogate};
 pub use train::{GuardConfig, TrainError, TrainReport, Trainer};

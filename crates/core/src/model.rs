@@ -6,6 +6,7 @@
 use crate::config::{ModelConfig, TargetMode};
 use crate::data::{outputs_to_natural_units, targets_to_learning_space, ChainTargets};
 use crate::graph::PlacementGraph;
+use crate::graph_batch::GraphBatch;
 use chainnet_neural::layers::{Activation, GruCell, Linear, Mlp};
 use chainnet_neural::params::{ParamId, ParamStore};
 use chainnet_neural::tape::{Tape, Var};
@@ -58,11 +59,12 @@ pub trait Surrogate {
     /// vector per graph, in input order.
     ///
     /// The default implementation simply loops over [`Surrogate::predict`];
-    /// models with a vectorized forward pass (ChainNet) override it to
+    /// models with a batched forward pass (ChainNet) override it to
     /// evaluate all graphs in stacked matrix operations. Implementations
-    /// must return results **bit-identical** to the sequential loop — the
-    /// SA neighborhood search depends on batched and sequential scoring
-    /// being interchangeable.
+    /// must return throughput **bit-identical** to the sequential loop —
+    /// the SA objective reads only throughput, and the neighborhood
+    /// search depends on batched and sequential scoring being
+    /// interchangeable — and latency within `1e-12` relative of it.
     fn predict_batch(&self, graphs: &[PlacementGraph]) -> Vec<Vec<PerfPrediction>> {
         graphs.iter().map(|g| self.predict(g)).collect()
     }
@@ -268,6 +270,23 @@ impl ChainNet {
         tape.concat(&head_outputs)
     }
 
+    /// Natural-unit prediction for chain `i` of `graph` from its
+    /// learning-space outputs.
+    fn natural_units(
+        &self,
+        graph: &PlacementGraph,
+        i: usize,
+        t_val: f64,
+        l_val: f64,
+    ) -> PerfPrediction {
+        let (throughput, latency) =
+            outputs_to_natural_units(self.config.target_mode, graph, i, t_val, l_val);
+        PerfPrediction {
+            throughput,
+            latency,
+        }
+    }
+
     /// Run the full forward pass (Algorithm 2), returning per-chain raw
     /// outputs `(throughput, latency)` in learning space.
     pub fn forward(&self, tape: &mut Tape, graph: &PlacementGraph) -> Vec<(Var, Var)> {
@@ -459,27 +478,39 @@ impl Surrogate for ChainNet {
             .into_iter()
             .enumerate()
             .map(|(i, (t, l))| {
-                let t_val = tape.value(t).item();
-                let l_val = tape.value(l).item();
-                let (throughput, latency) =
-                    outputs_to_natural_units(self.config.target_mode, graph, i, t_val, l_val);
-                PerfPrediction {
-                    throughput,
-                    latency,
-                }
+                self.natural_units(graph, i, tape.value(t).item(), tape.value(l).item())
             })
             .collect()
     }
 
-    /// Vectorized batch inference: structurally uniform graphs (equal
-    /// chain/step/device counts and feature mode — e.g. an SA
-    /// neighborhood of one problem) are evaluated with one stacked
-    /// matrix multiplication per weight per algorithm step instead of B
-    /// separate matvecs. Mixed-structure batches fall back to the
-    /// sequential loop. Outputs are bit-identical either way (see
+    /// Batched inference through the padded [`ChainNet::batched_forward`]
+    /// that training also runs: one tape forward over the whole batch,
+    /// for graphs of any shape (different chain, step, or device counts
+    /// mix freely). Throughput is bit-identical to [`Surrogate::predict`];
+    /// latency agrees to within `1e-12` relative (see
     /// `tests/batched_inference.rs`).
     fn predict_batch(&self, graphs: &[PlacementGraph]) -> Vec<Vec<PerfPrediction>> {
-        crate::batch_infer::predict_batch_chainnet(self, graphs)
+        if graphs.is_empty() {
+            return Vec::new();
+        }
+        let refs: Vec<&PlacementGraph> = graphs.iter().collect();
+        let batch = GraphBatch::pack(&refs, self.config.target_mode);
+        let mut tape = Tape::new();
+        let outputs = self.batched_forward(&mut tape, &self.store, &batch);
+        graphs
+            .iter()
+            .enumerate()
+            .map(|(b, graph)| {
+                outputs[..graph.num_chains()]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(t, l))| {
+                        let (t_val, l_val) = (tape.value(t).data()[b], tape.value(l).data()[b]);
+                        self.natural_units(graph, i, t_val, l_val)
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 

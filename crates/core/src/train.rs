@@ -429,12 +429,13 @@ impl Trainer {
                 let graphs: Vec<&PlacementGraph> = chunk.iter().map(|&i| &train[i].graph).collect();
                 let targets: Vec<&[crate::data::ChainTargets]> =
                     chunk.iter().map(|&i| train[i].targets.as_slice()).collect();
-                let batch = GraphBatch::pack(&graphs, &targets, target_mode);
+                let batch = GraphBatch::pack(&graphs, target_mode);
+                let targets = batch.pack_targets(&graphs, &targets);
                 // Q = number of real chains in this batch (Eq. 13).
                 let scale = 1.0 / (2.0 * batch.total_chains().max(1) as f64);
                 tape.reset();
                 let fwd_span = obs.tracer.span("neural.forward");
-                let raw = model.batched_loss(&mut tape, &store, &batch);
+                let raw = model.batched_loss(&mut tape, &store, &batch, &targets);
                 fwd_span.close();
                 let scaled = tape.affine(raw, Sc::from_f64(scale), Sc::ZERO);
                 tape.backward(scaled);

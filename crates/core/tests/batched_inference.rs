@@ -1,7 +1,10 @@
-//! Batched inference must be **bit-identical** to the sequential
-//! `predict` loop: the SA neighborhood search treats the two paths as
-//! interchangeable, so any drift — even one ULP — would silently change
-//! search trajectories.
+//! Batched inference must match the sequential `predict` loop. The SA
+//! neighborhood search treats the two paths as interchangeable and its
+//! objective reads only throughput, so throughput must be
+//! **bit-identical** — any drift, even one ULP, would silently change
+//! search trajectories. Latency may differ by the padded forward's one
+//! readout reassociation (the fragment mean as a weighted row sum, see
+//! `graph_batch.rs`) and is held within `1e-12` relative.
 
 use chainnet::config::{FeatureMode, ModelConfig, TargetMode};
 use chainnet::graph::PlacementGraph;
@@ -59,7 +62,11 @@ fn neighborhood(mode: FeatureMode) -> Vec<PlacementGraph> {
     .collect()
 }
 
-fn assert_bitwise_equal(
+/// Latency tolerance of the batched path, relative to the sequential
+/// prediction.
+const LATENCY_REL_TOL: f64 = 1e-12;
+
+fn assert_matches_sequential(
     batched: &[Vec<chainnet::PerfPrediction>],
     net: &ChainNet,
     graphs: &[PlacementGraph],
@@ -76,10 +83,10 @@ fn assert_bitwise_equal(
                 got.throughput,
                 want.throughput
             );
-            assert_eq!(
-                got.latency.to_bits(),
-                want.latency.to_bits(),
-                "graph {b} chain {i} latency: {} vs {}",
+            let rel = (got.latency - want.latency).abs() / want.latency.abs().max(1e-300);
+            assert!(
+                rel <= LATENCY_REL_TOL,
+                "graph {b} chain {i} latency: {} vs {} (rel {rel:.3e})",
                 got.latency,
                 want.latency
             );
@@ -91,7 +98,7 @@ fn assert_bitwise_equal(
 fn batched_matches_sequential_ratio_mode() {
     let net = ChainNet::new(ModelConfig::small(), 7);
     let graphs = neighborhood(net.config().feature_mode);
-    assert_bitwise_equal(&net.predict_batch(&graphs), &net, &graphs);
+    assert_matches_sequential(&net.predict_batch(&graphs), &net, &graphs);
 }
 
 #[test]
@@ -101,21 +108,21 @@ fn batched_matches_sequential_absolute_original_mode() {
         .with_target_mode(TargetMode::Absolute);
     let net = ChainNet::new(cfg, 13);
     let graphs = neighborhood(cfg.feature_mode);
-    assert_bitwise_equal(&net.predict_batch(&graphs), &net, &graphs);
+    assert_matches_sequential(&net.predict_batch(&graphs), &net, &graphs);
 }
 
 #[test]
 fn batched_matches_sequential_paper_config() {
     let net = ChainNet::new(ModelConfig::paper_chainnet(), 3);
     let graphs = neighborhood(net.config().feature_mode);
-    assert_bitwise_equal(&net.predict_batch(&graphs), &net, &graphs);
+    assert_matches_sequential(&net.predict_batch(&graphs), &net, &graphs);
 }
 
 /// Placements using different device subsets produce different local
-/// device counts; the batch must fall back to the sequential path and
+/// device counts; the padded path must handle them in one forward and
 /// still return correct, ordered results.
 #[test]
-fn mixed_structure_batch_falls_back_to_sequential() {
+fn mixed_device_counts_match_sequential_on_padded_path() {
     let net = ChainNet::new(ModelConfig::small(), 7);
     let mode = net.config().feature_mode;
     let graphs = vec![
@@ -124,14 +131,64 @@ fn mixed_structure_batch_falls_back_to_sequential() {
         graph_for(vec![vec![0, 1], vec![1, 0, 1]], mode),
         graph_for(vec![vec![2, 0], vec![0, 1, 2]], mode),
     ];
-    assert_bitwise_equal(&net.predict_batch(&graphs), &net, &graphs);
+    assert_matches_sequential(&net.predict_batch(&graphs), &net, &graphs);
+}
+
+/// A second problem with a different chain count (3 vs 2) and different
+/// step counts per chain (1, 4, 2 vs 2, 3) on four devices.
+fn other_problem_graph(placement: Vec<Vec<usize>>, mode: FeatureMode) -> PlacementGraph {
+    let mut devs = devices();
+    devs.push(Device::new(16.0, 1.2).unwrap());
+    let frags = |demands: &[f64]| -> Vec<Fragment> {
+        demands
+            .iter()
+            .map(|&d| Fragment::new(1.0, d).unwrap())
+            .collect()
+    };
+    let chains = vec![
+        ServiceChain::new(0.4, frags(&[0.8])).unwrap(),
+        ServiceChain::new(0.2, frags(&[0.5, 1.0, 0.7, 1.2])).unwrap(),
+        ServiceChain::new(0.35, frags(&[1.1, 0.6])).unwrap(),
+    ];
+    let model = SystemModel::new(devs, chains, Placement::new(placement)).unwrap();
+    PlacementGraph::from_model(&model, mode)
+}
+
+/// Graphs of two different problems interleaved in one batch: every
+/// slot dimension (chains, steps per chain, devices, attention width)
+/// is padded, a case the batched path never saw before it shared the
+/// training forward.
+#[test]
+fn cross_problem_batch_matches_sequential() {
+    for (cfg, seed) in [
+        (ModelConfig::small(), 5),
+        (
+            ModelConfig::small()
+                .with_feature_mode(FeatureMode::Original)
+                .with_target_mode(TargetMode::Absolute),
+            9,
+        ),
+    ] {
+        let net = ChainNet::new(cfg, seed);
+        let mode = cfg.feature_mode;
+        let graphs = vec![
+            other_problem_graph(vec![vec![3], vec![0, 1, 3, 2], vec![1, 0]], mode),
+            graph_for(vec![vec![0, 1], vec![1, 2, 0]], mode),
+            other_problem_graph(vec![vec![0], vec![0, 0, 1, 1], vec![2, 2]], mode),
+            graph_for(vec![vec![2, 2], vec![2, 1, 1]], mode),
+            other_problem_graph(vec![vec![1], vec![2, 3, 0, 1], vec![3, 3]], mode),
+        ];
+        assert_matches_sequential(&net.predict_batch(&graphs), &net, &graphs);
+    }
 }
 
 #[test]
 fn empty_and_singleton_batches() {
     let net = ChainNet::new(ModelConfig::small(), 7);
     assert!(net.predict_batch(&[]).is_empty());
-    let g = graph_for(vec![vec![0, 1], vec![1, 2, 0]], net.config().feature_mode);
-    let out = net.predict_batch(std::slice::from_ref(&g));
-    assert_eq!(out, vec![net.predict(&g)]);
+    let graphs = [graph_for(
+        vec![vec![0, 1], vec![1, 2, 0]],
+        net.config().feature_mode,
+    )];
+    assert_matches_sequential(&net.predict_batch(&graphs), &net, &graphs);
 }

@@ -4,19 +4,17 @@
 //! Layer structs hold only [`ParamId`]s (and dimensions) — the dtype
 //! lives in the [`ParamStore`]/[`Tape`] they run against, so one layer
 //! value drives `f64` reference passes and `f32` training passes alike.
-//! Each layer has three forward flavours:
+//! Each layer has two forward flavours:
 //!
 //! * `forward` — per-sample tape pass (vector inputs), the reference.
 //! * `forward_rows` — row-batched tape pass: `(B, in)` matrices flow
 //!   through one `matmul_bt` per weight instead of `B` matvecs, for
-//!   mini-batch training. Row `b` is bit-identical to `forward` on
-//!   row `b`.
-//! * `forward_batched` — tape-free row-batched inference (no gradients).
+//!   mini-batch training and batched inference. Row `b` is
+//!   bit-identical to `forward` on row `b`.
 
 use crate::params::{ParamId, ParamStore};
 use crate::scalar::Scalar;
 use crate::tape::{Tape, Var};
-use crate::tensor::Tensor;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -46,37 +44,6 @@ impl Activation {
             Activation::Sigmoid => tape.sigmoid(x),
             Activation::LeakyRelu => tape.leaky_relu(x, S::from_f64(0.01)),
             Activation::Identity => x,
-        }
-    }
-
-    /// Apply the activation elementwise in place (tape-free batched
-    /// inference). Uses the exact same expressions as the tape ops, so
-    /// results are bit-identical to [`Activation::apply`].
-    pub fn apply_batched<S: Scalar>(self, x: &mut Tensor<S>) {
-        match self {
-            Activation::Relu => {
-                for v in x.data_mut() {
-                    *v = v.max(S::ZERO);
-                }
-            }
-            Activation::Tanh => {
-                for v in x.data_mut() {
-                    *v = v.tanh();
-                }
-            }
-            Activation::Sigmoid => {
-                for v in x.data_mut() {
-                    *v = S::ONE / (S::ONE + (-*v).exp());
-                }
-            }
-            Activation::LeakyRelu => {
-                for v in x.data_mut() {
-                    if *v <= S::ZERO {
-                        *v *= S::from_f64(0.01);
-                    }
-                }
-            }
-            Activation::Identity => {}
         }
     }
 }
@@ -159,21 +126,6 @@ impl Linear {
         let wx = tape.matmul_bt(x, w);
         tape.add_rows(wx, b)
     }
-
-    /// Tape-free batched forward: `x` is `(B, in_dim)` with one input per
-    /// row; returns `(B, out_dim)`. One blocked matmul replaces B
-    /// matvecs; each output row is bit-identical to
-    /// [`Linear::forward`] on the corresponding input row.
-    pub fn forward_batched<S: Scalar>(&self, store: &ParamStore<S>, x: &Tensor<S>) -> Tensor<S> {
-        let mut out = x.matmul_bt(store.value(self.w));
-        let b = store.value(self.b).data();
-        for row in out.data_mut().chunks_exact_mut(b.len()) {
-            for (o, &bias) in row.iter_mut().zip(b) {
-                *o += bias;
-            }
-        }
-        out
-    }
 }
 
 /// A multi-layer perceptron with a fixed hidden activation and linear
@@ -248,23 +200,6 @@ impl Mlp {
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
         self.layers[self.layers.len() - 1].out_dim()
-    }
-
-    /// Tape-free batched forward over `(B, in_dim)` rows; row-for-row
-    /// bit-identical to [`Mlp::forward`].
-    pub fn forward_batched<S: Scalar>(&self, store: &ParamStore<S>, x: &Tensor<S>) -> Tensor<S> {
-        let last = self.layers.len() - 1;
-        let mut cur = self.layers[0].forward_batched(store, x);
-        if last > 0 {
-            self.activation.apply_batched(&mut cur);
-            for (i, layer) in self.layers.iter().enumerate().skip(1) {
-                cur = layer.forward_batched(store, &cur);
-                if i < last {
-                    self.activation.apply_batched(&mut cur);
-                }
-            }
-        }
-        cur
     }
 }
 
@@ -405,52 +340,6 @@ impl GruCell {
         let b = tape.mul(z, h);
         tape.add(a, b)
     }
-
-    /// Tape-free batched recurrence: `x` is `(B, input_dim)` and `h` is
-    /// `(B, hidden_dim)`, one independent cell step per row. Every
-    /// intermediate uses the exact expressions (and evaluation order) of
-    /// [`GruCell::forward`], so each output row is bit-identical to the
-    /// tape path on that row.
-    pub fn forward_batched<S: Scalar>(
-        &self,
-        store: &ParamStore<S>,
-        x: &Tensor<S>,
-        h: &Tensor<S>,
-    ) -> Tensor<S> {
-        let gate = |w: ParamId, u: ParamId, b: ParamId, hx: &Tensor<S>| -> Tensor<S> {
-            let wx = x.matmul_bt(store.value(w));
-            let uh = hx.matmul_bt(store.value(u));
-            let mut s = wx.zip_map(&uh, |p, q| p + q);
-            let bias = store.value(b).data();
-            for row in s.data_mut().chunks_exact_mut(bias.len()) {
-                for (o, &bb) in row.iter_mut().zip(bias) {
-                    *o += bb;
-                }
-            }
-            s
-        };
-        let mut z = gate(self.w_z, self.u_z, self.b_z, h);
-        for v in z.data_mut() {
-            *v = S::ONE / (S::ONE + (-*v).exp());
-        }
-        let mut r = gate(self.w_r, self.u_r, self.b_r, h);
-        for v in r.data_mut() {
-            *v = S::ONE / (S::ONE + (-*v).exp());
-        }
-        let rh = r.zip_map(h, |a, b| a * b);
-        let mut n = gate(self.w_n, self.u_n, self.b_n, &rh);
-        for v in n.data_mut() {
-            *v = v.tanh();
-        }
-        // h' = (1 - z) ⊙ n + z ⊙ h, in the tape's exact op order:
-        // affine(z, -1, 1), two muls, one add. The literal `-1.0 * v`
-        // replicates the tape's `alpha * x` term bitwise.
-        let neg_one = S::from_f64(-1.0);
-        let one_minus_z = z.map(|v| neg_one * v + S::ONE);
-        let a = one_minus_z.zip_map(&n, |p, q| p * q);
-        let b = z.zip_map(h, |p, q| p * q);
-        a.zip_map(&b, |p, q| p + q)
-    }
 }
 
 #[cfg(test)]
@@ -534,51 +423,7 @@ mod tests {
         assert_eq!(nonzero, 9);
     }
 
-    /// Batched (tape-free) layer forwards must reproduce the tape path
-    /// bit for bit, row by row.
-    #[test]
-    fn batched_forwards_match_tape_bitwise() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let mut store = ParamStore::new();
-        let lin = Linear::new(&mut store, "lin", 3, 4, &mut rng);
-        let mlp = Mlp::new(&mut store, "mlp", &[4, 4, 1], Activation::Relu, &mut rng);
-        let gru = GruCell::new(&mut store, "gru", 3, 4, &mut rng);
-
-        let xs: [Vec<f64>; 3] = [
-            vec![0.4, -1.2, 0.9],
-            vec![-0.3, 0.0, 2.5],
-            vec![1.0, 1.0, -1.0],
-        ];
-        let hs = [
-            vec![0.1, -0.2, 0.3, -0.4],
-            vec![0.0, 0.0, 0.0, 0.0],
-            vec![0.9, -0.9, 0.5, 0.25],
-        ];
-        let xb = Tensor::matrix(3, 3, xs.concat());
-        let hb = Tensor::matrix(3, 4, hs.concat());
-
-        let lin_b = lin.forward_batched(&store, &xb);
-        let gru_b = gru.forward_batched(&store, &xb, &hb);
-        let mlp_b = mlp.forward_batched(&store, &lin_b);
-
-        for (row, (x0, h0)) in xs.iter().zip(&hs).enumerate() {
-            let mut tape = Tape::new();
-            let x = tape.leaf(Tensor::from_vec(x0.clone()));
-            let h = tape.leaf(Tensor::from_vec(h0.clone()));
-            let ly = lin.forward(&mut tape, &store, x);
-            let gy = gru.forward(&mut tape, &store, x, h);
-            let my = mlp.forward(&mut tape, &store, ly);
-            for (c, &v) in tape.value(ly).data().iter().enumerate() {
-                assert_eq!(v.to_bits(), lin_b.data()[row * 4 + c].to_bits());
-            }
-            for (c, &v) in tape.value(gy).data().iter().enumerate() {
-                assert_eq!(v.to_bits(), gru_b.data()[row * 4 + c].to_bits());
-            }
-            assert_eq!(tape.value(my).item().to_bits(), mlp_b.data()[row].to_bits());
-        }
-    }
-
-    /// Row-batched tape forwards (`forward_rows`) must also reproduce the
+    /// Row-batched tape forwards (`forward_rows`) must reproduce the
     /// per-sample tape path bit for bit, and route gradients to every
     /// parameter.
     #[test]

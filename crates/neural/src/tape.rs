@@ -359,6 +359,7 @@ impl<S: Scalar> Tape<S> {
                 "add_rows: matrix cols {n} != bias len {}",
                 bv.len()
             );
+            buf.reserve(xv.len());
             for row in xv.data().chunks_exact(n) {
                 buf.extend(row.iter().zip(bv.data()).map(|(&a, &b)| a + b));
             }
@@ -383,13 +384,13 @@ impl<S: Scalar> Tape<S> {
         assert!(!parts.is_empty(), "concat_cols needs at least one part");
         let mut buf = self.take_buf();
         let rows = self.nodes[parts[0].0].value.rows();
+        let mut total = 0;
         for p in parts {
-            assert_eq!(
-                self.nodes[p.0].value.rows(),
-                rows,
-                "concat_cols: row count mismatch"
-            );
+            let pv = &self.nodes[p.0].value;
+            assert_eq!(pv.rows(), rows, "concat_cols: row count mismatch");
+            total += pv.cols();
         }
+        buf.reserve(rows * total);
         for b in 0..rows {
             for p in parts {
                 let pv = &self.nodes[p.0].value;
@@ -397,7 +398,6 @@ impl<S: Scalar> Tape<S> {
                 buf.extend_from_slice(&pv.data()[b * w..(b + 1) * w]);
             }
         }
-        let total = buf.len() / rows.max(1);
         self.push(
             Tensor::from_shape_data(vec![rows, total], buf),
             Op::ConcatCols(parts.iter().map(|p| p.0).collect()),
@@ -415,7 +415,6 @@ impl<S: Scalar> Tape<S> {
     /// Panics on shape mismatch or an out-of-range choice.
     pub fn select_rows(&mut self, sources: &[Var], choice: &[u32]) -> Var {
         assert!(!sources.is_empty(), "select_rows needs at least one source");
-        let mut buf = self.take_buf();
         let w = self.nodes[sources[0].0].value.cols();
         for s in sources {
             let sv = &self.nodes[s.0].value;
@@ -426,6 +425,8 @@ impl<S: Scalar> Tape<S> {
                 "select_rows: source rows != choice len"
             );
         }
+        let mut buf = self.take_buf();
+        buf.reserve(choice.len() * w);
         for (b, &c) in choice.iter().enumerate() {
             let sv = &self.nodes[sources[c as usize].0].value;
             buf.extend_from_slice(&sv.data()[b * w..(b + 1) * w]);

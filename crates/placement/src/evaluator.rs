@@ -54,8 +54,9 @@ pub trait Evaluator {
 ///
 /// The provided default simply loops over
 /// [`Evaluator::total_throughput`]; [`GnnEvaluator`] overrides it with
-/// [`Surrogate::predict_batch`], which is bit-identical to the loop, so
-/// callers may treat the two paths as interchangeable.
+/// [`Surrogate::predict_batch`], whose throughput is bit-identical to the
+/// loop. The objective is a sum of throughputs, so callers may treat the
+/// two paths as interchangeable.
 pub trait BatchEvaluator: Evaluator {
     /// Estimate `X_total` for each placement, in input order. Per-candidate
     /// failures are per-slot `Err`s; one bad candidate never poisons the
@@ -201,7 +202,7 @@ impl<S: Surrogate> Evaluator for GnnEvaluator<S> {
 
 impl<S: Surrogate> BatchEvaluator for GnnEvaluator<S> {
     /// One batched surrogate forward pass over the whole candidate set
-    /// (bit-identical to the per-candidate loop — see
+    /// (throughput bit-identical to the per-candidate loop — see
     /// [`Surrogate::predict_batch`]). Candidates that fail to bind get a
     /// per-slot error; the rest are still evaluated together.
     // lint:zero_alloc
@@ -231,7 +232,8 @@ impl<S: Surrogate> BatchEvaluator for GnnEvaluator<S> {
             // lint:allow(alloc_hygiene): one bind-error vec per batch,
             // amortized over the whole candidate set
             .collect();
-        // The stacked blocked-matmul kernel phase of batched inference.
+        // The batched forward over every bound candidate; the span keeps
+        // its historical name so traces stay comparable across versions.
         let matmul_span = self.tracer.span("neural.matmul");
         let batch_preds = self.model.predict_batch(&graphs);
         matmul_span.close();
