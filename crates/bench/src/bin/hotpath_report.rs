@@ -145,28 +145,26 @@ mod report {
         PlacementProblem::new(model.devices().to_vec(), model.chains().to_vec()).unwrap()
     }
 
-    /// Evaluations per second of a full SA run with the given driver.
+    /// Evaluations per second of a full SA run scoring `k` candidates
+    /// per step.
     fn measure_sa<E: chainnet_placement::evaluator::BatchEvaluator>(
         steps: usize,
         mut evaluator: E,
-        batched: Option<usize>,
+        k: usize,
     ) -> f64 {
         let problem = sa_problem();
         let initial = problem.initial_placement().expect("feasible");
         let cfg = SaConfig::paper_default().with_max_steps(steps).with_seed(9);
         let sa = SimulatedAnnealing::new(cfg);
         let start = Instant::now();
-        let result = match batched {
-            None => sa.optimize(&problem, &initial, &mut evaluator, 1),
-            Some(k) => sa.optimize_neighborhood_observed(
-                &problem,
-                &initial,
-                &mut evaluator,
-                1,
-                k,
-                &Obs::disabled(),
-            ),
-        };
+        let result = sa.optimize_neighborhood_observed(
+            &problem,
+            &initial,
+            &mut evaluator,
+            1,
+            k,
+            &Obs::disabled(),
+        );
         assert!(result.best_objective.is_finite());
         evaluator.evaluations() as f64 / start.elapsed().as_secs_f64().max(1e-9)
     }
@@ -198,13 +196,9 @@ mod report {
         let sa_steps = if quick { 12 } else { 60 };
         eprintln!("measuring SA evaluation throughput ({sa_steps} steps) ...");
         let net = ChainNet::new(ModelConfig::small(), 3);
-        let sim_backend = measure_sa(
-            sa_steps,
-            SimEvaluator::new(SimConfig::new(2_000.0, 4)),
-            None,
-        );
-        let surrogate_seq = measure_sa(sa_steps, GnnEvaluator::new(net.clone()), None);
-        let surrogate_batched = measure_sa(sa_steps, GnnEvaluator::new(net), Some(8));
+        let sim_backend = measure_sa(sa_steps, SimEvaluator::new(SimConfig::new(2_000.0, 4)), 1);
+        let surrogate_seq = measure_sa(sa_steps, GnnEvaluator::new(net.clone()), 1);
+        let surrogate_batched = measure_sa(sa_steps, GnnEvaluator::new(net), 8);
         eprintln!(
             "  sim {sim_backend:.1}, surrogate {surrogate_seq:.1}, batched {surrogate_batched:.1} evals/sec"
         );

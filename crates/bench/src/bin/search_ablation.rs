@@ -8,6 +8,7 @@
 use chainnet_bench::optstudy::ground_truth_throughput;
 use chainnet_bench::{print_table, Pipeline};
 use chainnet_datagen::problems::{ProblemGenerator, ProblemParams};
+use chainnet_obs::Obs;
 use chainnet_placement::evaluator::{
     loss_probability, ApproxEvaluator, GnnEvaluator, SimEvaluator,
 };
@@ -70,7 +71,8 @@ fn main() {
         // scores a whole candidate set in one batched forward.
         let t0 = std::time::Instant::now();
         let mut ev = GnnEvaluator::new(chainnet.model.clone());
-        let res = sa.optimize_neighborhood(&problem, &initial, &mut ev, 1, 8);
+        let res =
+            sa.optimize_neighborhood_observed(&problem, &initial, &mut ev, 1, 8, &Obs::disabled());
         let x = ground_truth_throughput(&problem, &res.best_placement, eval_h, 777);
         record(
             &mut acc,

@@ -3,7 +3,7 @@
 //! simulation-based annealing search, with simulator post-processing of
 //! GNN decisions (Section VIII-C5).
 
-use chainnet_placement::evaluator::{loss_probability, relative_loss_reduction, Evaluator};
+use chainnet_placement::evaluator::{loss_probability, relative_loss_reduction, BatchEvaluator};
 use chainnet_placement::problem::PlacementProblem;
 use chainnet_placement::sa::{SaConfig, SaResult, SimulatedAnnealing};
 use chainnet_qsim::model::Placement;
@@ -163,7 +163,7 @@ pub struct MethodOutcome {
 pub fn run_search(
     problem: &PlacementProblem,
     initial: &Placement,
-    evaluator: &mut dyn Evaluator,
+    evaluator: &mut dyn BatchEvaluator,
     sa_config: SaConfig,
     trials: usize,
     eval_horizon: f64,
@@ -178,7 +178,7 @@ pub fn run_search(
 pub fn run_search_for(
     problem: &PlacementProblem,
     initial: &Placement,
-    evaluator: &mut dyn Evaluator,
+    evaluator: &mut dyn BatchEvaluator,
     sa_config: SaConfig,
     budget_secs: f64,
     eval_horizon: f64,

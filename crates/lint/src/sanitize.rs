@@ -211,6 +211,8 @@ fn sanitize_optimize(cli: &Path, dir: &Path) -> Result<StageReport, LintError> {
                 SEED,
                 "--neighborhood",
                 "3",
+                "--checkpoint-dir",
+                path_str(&rd.join("ckpt"))?,
                 "--out",
                 path_str(&placement)?,
                 "--metrics-out",

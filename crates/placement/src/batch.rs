@@ -3,7 +3,7 @@
 //! workhorse behind paper-scale sweeps ("100 randomly generated placement
 //! problems", Section VIII-C1).
 
-use crate::evaluator::Evaluator;
+use crate::evaluator::BatchEvaluator;
 use crate::problem::PlacementProblem;
 use crate::sa::{SaConfig, SaResult, SimulatedAnnealing};
 use chainnet_qsim::{QsimError, Result};
@@ -34,7 +34,7 @@ pub fn optimize_batch<F, E>(
 ) -> Vec<Result<SaResult>>
 where
     F: Fn(usize) -> E + Sync,
-    E: Evaluator,
+    E: BatchEvaluator,
 {
     let threads = if threads == 0 {
         std::thread::available_parallelism()

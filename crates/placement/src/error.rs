@@ -25,7 +25,7 @@ pub enum PlacementError {
     },
     /// A checkpoint could not be saved, loaded, or matched to the
     /// requested search (see
-    /// [`SimulatedAnnealing::optimize_checkpointed`](crate::sa::SimulatedAnnealing::optimize_checkpointed)).
+    /// [`SimulatedAnnealing::optimize_checkpointed_observed`](crate::sa::SimulatedAnnealing::optimize_checkpointed_observed)).
     Checkpoint(CkptError),
 }
 

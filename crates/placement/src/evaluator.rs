@@ -47,10 +47,12 @@ pub trait Evaluator {
 }
 
 /// An [`Evaluator`] that can score a whole set of candidate placements at
-/// once. The neighborhood SA driver
-/// ([`SimulatedAnnealing::optimize_neighborhood_observed`](crate::sa::SimulatedAnnealing::optimize_neighborhood_observed))
-/// hands it every candidate of a step in one call, letting surrogate
-/// backends amortize a single batched forward pass over the neighborhood.
+/// once. Every SA entry point
+/// ([`SimulatedAnnealing`](crate::sa::SimulatedAnnealing)) scores each
+/// step's k candidates in one call — a one-element batch for the
+/// single-proposal search — letting surrogate backends amortize a single
+/// batched forward pass over the neighborhood. Evaluators that cannot
+/// batch opt in with an empty `impl BatchEvaluator for X {}`.
 ///
 /// The provided default simply loops over
 /// [`Evaluator::total_throughput`]; [`GnnEvaluator`] overrides it with

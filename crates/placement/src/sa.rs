@@ -3,15 +3,16 @@
 //! multi-trial restarts from a common initial placement.
 
 use crate::error::PlacementError;
-use crate::evaluator::{BatchEvaluator, Evaluator};
+use crate::evaluator::BatchEvaluator;
 use crate::problem::PlacementProblem;
 use chainnet_ckpt::{CkptError, CkptStore};
-use chainnet_obs::{CancelFlag, Obs};
+use chainnet_obs::Obs;
 use chainnet_qsim::model::Placement;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 use std::time::Instant;
 
 /// Telemetry record emitted once per completed trial on the `sa` component.
@@ -42,8 +43,9 @@ pub struct SaConfig {
     pub max_move_attempts: usize,
     /// Hard cap on objective evaluations across the whole search; when
     /// hit, the search stops mid-trial and returns the best-so-far with
-    /// [`TerminationReason::MaxEvaluations`]. `None` (default) is
-    /// unlimited.
+    /// [`TerminationReason::MaxEvaluations`]. The cap is checked before
+    /// each step, so a step scoring k candidates can pass it by at most
+    /// k − 1 (by none at k = 1). `None` (default) is unlimited.
     #[serde(default)]
     pub max_evaluations: Option<u64>,
     /// Wall-clock deadline in seconds for the whole search; when hit,
@@ -214,12 +216,22 @@ pub const SA_CKPT_SCHEMA: u32 = 1;
 /// steps resumes on the exact annealing trajectory. `step_next == 0`
 /// marks a trial boundary: trial [`SaCheckpoint::trial`] has not
 /// consumed any randomness yet and is restarted from its seed.
+///
+/// Wall-clock fields (`elapsed_secs` of trials, steps and improvements)
+/// are stored as 0: a checkpoint is a function of the search inputs
+/// alone, so two runs of one search write byte-identical checkpoints.
+/// Work restored from a checkpoint therefore reports zero elapsed time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SaCheckpoint {
     /// Configuration of the checkpointed search (must match at resume).
     pub config: SaConfig,
     /// Requested trial count (must match at resume).
     pub trials: usize,
+    /// Candidates per step, k (must match at resume; 0 reads as 1).
+    /// Payloads written before this field existed come from
+    /// single-proposal searches and decode as 0, i.e. k = 1.
+    #[serde(default)]
+    pub neighborhood: usize,
     /// The shared initial placement (must match at resume).
     pub initial: Placement,
     /// Objective of the initial placement (never re-evaluated at resume).
@@ -279,11 +291,15 @@ fn wall_timer() -> Instant {
     Instant::now()
 }
 
+// The `sanitize_*` helpers prepare trajectory records for a
+// checkpoint: non-finite objectives clamped, wall-clock fields zeroed.
+
 fn sanitize_step(s: &SaStep) -> SaStep {
     SaStep {
         candidate_objective: finite_or_min(s.candidate_objective),
         current_objective: finite_or_min(s.current_objective),
         best_objective: finite_or_min(s.best_objective),
+        elapsed_secs: 0.0,
         ..*s
     }
 }
@@ -291,6 +307,7 @@ fn sanitize_step(s: &SaStep) -> SaStep {
 fn sanitize_improvement(i: &SaImprovement) -> SaImprovement {
     SaImprovement {
         objective: finite_or_min(i.objective),
+        elapsed_secs: 0.0,
         ..i.clone()
     }
 }
@@ -301,15 +318,20 @@ fn sanitize_trial(t: &SaTrial) -> SaTrial {
         improvements: t.improvements.iter().map(sanitize_improvement).collect(),
         best_placement: t.best_placement.clone(),
         best_objective: finite_or_min(t.best_objective),
-        elapsed_secs: t.elapsed_secs,
+        elapsed_secs: 0.0,
         eval_failures: t.eval_failures,
     }
 }
 
-/// In-flight accept/reject state of one annealing trial, shared by the
-/// plain and checkpointed drivers so both walk the exact same RNG and
+/// In-flight state of one annealing trial: its RNG, next step index,
+/// accept/reject state and trajectory so far. Every driver walks a
+/// trial through [`SimulatedAnnealing::step`], and a checkpoint stores
+/// exactly these fields, so a resumed trial continues the same RNG and
 /// decision sequence.
 struct TrialCore {
+    rng: SmallRng,
+    next_step: usize,
+    start: Instant,
     current: Placement,
     current_obj: f64,
     best: Placement,
@@ -318,30 +340,140 @@ struct TrialCore {
     steps: Vec<SaStep>,
     improvements: Vec<SaImprovement>,
     eval_failures: u64,
+    /// Batched evaluator calls in this process (telemetry only; not
+    /// checkpointed).
+    batch_evals: u64,
 }
 
 impl TrialCore {
-    fn fresh(initial: &Placement, initial_objective: f64, initial_temp: f64, cap: usize) -> Self {
+    fn fresh(
+        initial: &Placement,
+        initial_objective: f64,
+        config: &SaConfig,
+        trial_seed: u64,
+    ) -> Self {
         Self {
+            rng: SmallRng::seed_from_u64(trial_seed),
+            next_step: 0,
+            start: wall_timer(),
             current: initial.clone(),
             current_obj: initial_objective,
             best: initial.clone(),
             best_obj: initial_objective,
-            temp: initial_temp,
-            steps: Vec::with_capacity(cap),
+            temp: config.initial_temp,
+            steps: Vec::with_capacity(config.max_steps),
             improvements: Vec::new(),
             eval_failures: 0,
+            batch_evals: 0,
         }
     }
 
-    fn into_trial(self, elapsed_secs: f64) -> SaTrial {
+    /// The in-flight trial of a mid-trial checkpoint.
+    fn resume(ck: SaCheckpoint) -> Self {
+        Self {
+            rng: SmallRng::from_state(ck.rng),
+            next_step: ck.step_next,
+            start: wall_timer(),
+            current: ck.current,
+            current_obj: ck.current_objective,
+            best: ck.trial_best,
+            best_obj: ck.trial_best_objective,
+            temp: ck.temp,
+            steps: ck.steps,
+            improvements: ck.improvements,
+            eval_failures: ck.eval_failures,
+            batch_evals: 0,
+        }
+    }
+
+    fn into_trial(self) -> SaTrial {
         SaTrial {
             steps: self.steps,
             improvements: self.improvements,
             best_placement: self.best,
             best_objective: self.best_obj,
-            elapsed_secs,
+            elapsed_secs: self.start.elapsed().as_secs_f64(),
             eval_failures: self.eval_failures,
+        }
+    }
+}
+
+/// Where the trial loop persists resumable state: `()` stores nothing
+/// (its error type is [`Infallible`], so searches without a store
+/// cannot fail); [`StoreSink`] writes to a [`CkptStore`].
+trait CheckpointSink {
+    type Error;
+    /// Persist the checkpoint `f` builds, if one is due with `step`
+    /// steps of the in-flight trial done.
+    fn save(&mut self, step: usize, f: impl FnOnce() -> SaCheckpoint) -> Result<(), Self::Error>;
+}
+
+impl CheckpointSink for () {
+    type Error = Infallible;
+    fn save(&mut self, _: usize, _: impl FnOnce() -> SaCheckpoint) -> Result<(), Infallible> {
+        Ok(())
+    }
+}
+
+struct StoreSink<'a> {
+    store: &'a CkptStore,
+    every: usize,
+    max_steps: usize,
+    next_seq: u64,
+}
+
+impl CheckpointSink for StoreSink<'_> {
+    type Error = PlacementError;
+    /// Due at every trial boundary (`step == 0`) and every `every`
+    /// steps mid-trial; the boundary save covers a trial's final step.
+    fn save(&mut self, step: usize, f: impl FnOnce() -> SaCheckpoint) -> Result<(), Self::Error> {
+        if step == 0 || (step.is_multiple_of(self.every) && step < self.max_steps) {
+            self.store.save_state(self.next_seq, &f())?;
+            self.next_seq += 1;
+        }
+        Ok(())
+    }
+}
+
+/// Search-level progress of a multi-trial search: everything but the
+/// in-flight trial.
+struct Progress {
+    initial_objective: f64,
+    eval_offset: u64,
+    completed: Vec<SaTrial>,
+    best: Placement,
+    best_obj: f64,
+}
+
+impl Progress {
+    fn fresh(initial: &Placement, initial_objective: f64) -> Self {
+        Self {
+            initial_objective,
+            eval_offset: 0,
+            completed: Vec::new(),
+            best: initial.clone(),
+            best_obj: initial_objective,
+        }
+    }
+
+    /// Record a finished trial, keeping the best decision.
+    fn push(&mut self, trial: SaTrial) {
+        if trial.best_objective > self.best_obj {
+            self.best = trial.best_placement.clone();
+            self.best_obj = trial.best_objective;
+        }
+        self.completed.push(trial);
+    }
+
+    fn into_result(self, evals: u64, start: Instant, reason: TerminationReason) -> SaResult {
+        SaResult {
+            trials: self.completed,
+            best_placement: self.best,
+            best_objective: self.best_obj,
+            initial_objective: self.initial_objective,
+            evaluations: self.eval_offset + evals,
+            elapsed_secs: start.elapsed().as_secs_f64(),
+            termination_reason: reason,
         }
     }
 }
@@ -412,415 +544,95 @@ impl SimulatedAnnealing {
         None
     }
 
-    /// Run one trial from `initial` (assumed feasible), consuming
-    /// objective evaluations from `evaluator`.
-    ///
-    /// A failed candidate evaluation is treated as a rejected move
-    /// (recorded with a `-inf` candidate objective and counted in
-    /// [`SaTrial::eval_failures`]); the trial keeps going.
+    /// The trial seed of trial `t`.
+    fn trial_seed(&self, t: usize) -> u64 {
+        self.config.seed.wrapping_add(t as u64)
+    }
+
+    /// Run one single-proposal trial from `initial` (assumed feasible),
+    /// ignoring the search budget of [`SaConfig`]. A failed candidate
+    /// evaluation is a rejected move (recorded with a `-inf` candidate
+    /// objective and counted in [`SaTrial::eval_failures`]).
     pub fn run_trial(
         &self,
         problem: &PlacementProblem,
         initial: &Placement,
         initial_objective: f64,
-        evaluator: &mut dyn Evaluator,
+        evaluator: &mut dyn BatchEvaluator,
         trial_seed: u64,
     ) -> SaTrial {
-        self.run_trial_budgeted(
-            problem,
-            initial,
-            initial_objective,
-            evaluator,
-            trial_seed,
-            None,
-            &CancelFlag::default(),
-        )
-        .0
-    }
-
-    /// [`run_trial`](Self::run_trial) that additionally stops early when
-    /// the search-wide budget (deadline / evaluation cap, measured from
-    /// `budget`'s start instant) is exhausted or cooperative
-    /// cancellation is requested. Returns the trial — best-so-far even
-    /// when truncated — and the reason it stopped early, if any.
-    #[allow(clippy::too_many_arguments)]
-    fn run_trial_budgeted(
-        &self,
-        problem: &PlacementProblem,
-        initial: &Placement,
-        initial_objective: f64,
-        evaluator: &mut dyn Evaluator,
-        trial_seed: u64,
-        budget: Option<(Instant, Option<f64>, Option<u64>)>,
-        cancel: &CancelFlag,
-    ) -> (SaTrial, Option<TerminationReason>) {
-        let start = wall_timer();
-        let mut rng = SmallRng::seed_from_u64(trial_seed);
-        let mut core = TrialCore::fresh(
-            initial,
-            initial_objective,
-            self.config.initial_temp,
-            self.config.max_steps,
-        );
-        let mut stopped: Option<TerminationReason> = None;
-
-        for step in 0..self.config.max_steps {
-            // Cancellation beats budget: a SIGTERM'd search should say
-            // so even if the deadline lapsed at the same instant.
-            if cancel.is_set() {
-                stopped = Some(TerminationReason::Cancelled);
-                break;
-            }
-            if let Some((search_start, deadline, max_evals)) = budget {
-                if let Some(secs) = deadline.filter(|s| s.is_finite() && *s >= 0.0) {
-                    if search_start.elapsed().as_secs_f64() >= secs {
-                        stopped = Some(TerminationReason::WallClock);
-                        break;
-                    }
-                }
-                if let Some(cap) = max_evals {
-                    if evaluator.evaluations() >= cap {
-                        stopped = Some(TerminationReason::MaxEvaluations);
-                        break;
-                    }
-                }
-            }
-            self.anneal_step(problem, evaluator, &mut rng, &mut core, step, start);
-        }
-        (core.into_trial(start.elapsed().as_secs_f64()), stopped)
-    }
-
-    /// Execute one accept/reject step of a trial, mutating `core` in
-    /// place. The RNG call order — propose, evaluate, then a Metropolis
-    /// draw only when the candidate does not improve — is the
-    /// bit-identity contract between the plain and checkpointed
-    /// drivers; do not reorder.
-    fn anneal_step(
-        &self,
-        problem: &PlacementProblem,
-        evaluator: &mut dyn Evaluator,
-        rng: &mut SmallRng,
-        core: &mut TrialCore,
-        step: usize,
-        trial_start: Instant,
-    ) {
-        let (candidate_objective, accepted) = match self.propose(problem, &core.current, rng) {
-            Some(candidate) => match evaluator.total_throughput(problem, &candidate) {
-                Ok(obj) => {
-                    let accept = obj > core.current_obj || {
-                        let p = ((obj - core.current_obj) / core.temp.max(1e-12)).exp();
-                        rng.gen::<f64>() < p
-                    };
-                    if accept {
-                        core.current = candidate;
-                        core.current_obj = obj;
-                        if obj > core.best_obj {
-                            core.best = core.current.clone();
-                            core.best_obj = obj;
-                            core.improvements.push(SaImprovement {
-                                step,
-                                elapsed_secs: trial_start.elapsed().as_secs_f64(),
-                                placement: core.best.clone(),
-                                objective: core.best_obj,
-                            });
-                        }
-                    }
-                    (obj, accept)
-                }
-                Err(_) => {
-                    // Graceful degradation: an unevaluable candidate
-                    // is simply rejected; the decision state and the
-                    // best-so-far record stay intact.
-                    core.eval_failures += 1;
-                    (f64::NEG_INFINITY, false)
-                }
-            },
-            None => (core.current_obj, false),
-        };
-        core.temp *= self.config.cooling;
-        core.steps.push(SaStep {
-            step,
-            candidate_objective,
-            current_objective: core.current_obj,
-            best_objective: core.best_obj,
-            accepted,
-            elapsed_secs: trial_start.elapsed().as_secs_f64(),
+        let mut core = TrialCore::fresh(initial, initial_objective, &self.config, trial_seed);
+        let off = Obs::disabled();
+        let Ok(_) = self.run_steps(problem, evaluator, 1, &mut core, None, &off, |_, _| {
+            Ok::<(), Infallible>(())
         });
+        core.into_trial()
     }
 
-    /// Run `trials` independent trials from the same initial placement
-    /// (the paper's multi-start scheme) and keep the best decision.
-    pub fn optimize(
-        &self,
-        problem: &PlacementProblem,
-        initial: &Placement,
-        evaluator: &mut dyn Evaluator,
-        trials: usize,
-    ) -> SaResult {
-        self.optimize_observed(problem, initial, evaluator, trials, &Obs::disabled())
-    }
-
-    /// [`optimize`](Self::optimize) with search telemetry recorded into
-    /// `obs`: `sa.proposals` / `sa.accepted` / `sa.trials` / `sa.evaluations`
-    /// counters, `sa.accept_rate` / `sa.best_objective` / `sa.temperature` /
-    /// `sa.evals_per_sec` gauges, and one `sa_trial` event per trial.
-    /// Metrics are aggregated after each trial, so the hot accept/reject
-    /// loop is untouched.
-    pub fn optimize_observed(
-        &self,
-        problem: &PlacementProblem,
-        initial: &Placement,
-        evaluator: &mut dyn Evaluator,
-        trials: usize,
-        obs: &Obs,
-    ) -> SaResult {
-        let start = wall_timer();
-        evaluator.set_tracer(obs.tracer.clone());
-        // Graceful degradation: if even the initial placement cannot be
-        // evaluated, the search still runs — any successfully evaluated
-        // candidate beats `-inf` and becomes the best-so-far.
-        let initial_objective = evaluator
-            .total_throughput(problem, initial)
-            .unwrap_or(f64::NEG_INFINITY);
-        let budget = Some((
-            start,
-            self.config.max_wall_secs,
-            self.config.max_evaluations,
-        ));
-        let mut termination_reason = TerminationReason::Completed;
-        let mut result_trials = Vec::with_capacity(trials);
-        let mut best = initial.clone();
-        let mut best_obj = initial_objective;
-        let mut proposals_total = 0u64;
-        let mut accepted_total = 0u64;
-        for t in 0..trials {
-            let trial_span = obs.tracer.span("sa.trial");
-            let (trial, stopped) = self.run_trial_budgeted(
-                problem,
-                initial,
-                initial_objective,
-                evaluator,
-                self.config.seed.wrapping_add(t as u64),
-                budget,
-                &obs.cancel,
-            );
-            trial_span.close();
-            if trial.best_objective > best_obj {
-                best = trial.best_placement.clone();
-                best_obj = trial.best_objective;
-            }
-            if obs.is_enabled() {
-                let proposals = trial.steps.len() as u64;
-                let accepted = trial.steps.iter().filter(|s| s.accepted).count() as u64;
-                proposals_total += proposals;
-                accepted_total += accepted;
-                obs.registry.counter("sa.trials").inc();
-                obs.registry.counter("sa.proposals").add(proposals);
-                obs.registry.counter("sa.accepted").add(accepted);
-                if trial.eval_failures > 0 {
-                    obs.registry
-                        .counter("sa.eval_failures")
-                        .add(trial.eval_failures);
-                }
-                if proposals_total > 0 {
-                    obs.registry
-                        .gauge("sa.accept_rate")
-                        .set(accepted_total as f64 / proposals_total as f64);
-                }
-                obs.registry.gauge("sa.best_objective").set(best_obj);
-                obs.registry.gauge("sa.temperature").set(
-                    self.config.initial_temp * self.config.cooling.powi(trial.steps.len() as i32),
-                );
-                obs.events.emit(
-                    "sa",
-                    &SaTrialEvent {
-                        kind: "sa_trial",
-                        trial: t,
-                        proposals,
-                        accepted,
-                        improvements: trial.improvements.len(),
-                        best_objective: trial.best_objective,
-                        elapsed_secs: trial.elapsed_secs,
-                    },
-                );
-            }
-            result_trials.push(trial);
-            if let Some(reason) = stopped {
-                termination_reason = reason;
-                break;
-            }
-        }
-        let elapsed_secs = start.elapsed().as_secs_f64();
-        let evaluations = evaluator.evaluations();
-        if obs.is_enabled() {
-            obs.registry.counter("sa.evaluations").add(evaluations);
-            if elapsed_secs > 0.0 {
-                obs.registry
-                    .gauge("sa.evals_per_sec")
-                    .set(evaluations as f64 / elapsed_secs);
-            }
-        }
-        SaResult {
-            trials: result_trials,
-            best_placement: best,
-            best_objective: best_obj,
-            initial_objective,
-            evaluations,
-            elapsed_secs,
-            termination_reason,
-        }
-    }
-
-    /// [`optimize_neighborhood_observed`](Self::optimize_neighborhood_observed)
-    /// without telemetry.
-    pub fn optimize_neighborhood(
-        &self,
-        problem: &PlacementProblem,
-        initial: &Placement,
-        evaluator: &mut dyn BatchEvaluator,
-        trials: usize,
-        neighborhood: usize,
-    ) -> SaResult {
-        self.optimize_neighborhood_observed(
-            problem,
-            initial,
-            evaluator,
-            trials,
-            neighborhood,
-            &Obs::disabled(),
-        )
-    }
-
-    /// Neighborhood-batched annealing: each step proposes up to
-    /// `neighborhood` candidates from the current decision, scores them
-    /// all in **one** [`BatchEvaluator::total_throughput_batch`] call
-    /// (one batched surrogate forward pass for [`GnnEvaluator`]), and
-    /// runs the Metropolis accept/reject test against the best-scoring
-    /// candidate. Failed candidate evaluations are counted in
-    /// [`SaTrial::eval_failures`] and skipped; a step whose whole
-    /// neighborhood fails (or yields no feasible proposal) is a rejected
-    /// step, exactly like [`optimize`](Self::optimize)'s treatment.
-    ///
-    /// With an enabled `obs`, each batch call increments the
-    /// `sa.batch_evals` counter, and the usual `sa.trials` /
-    /// `sa.evaluations` counters and `sa.best_objective` /
-    /// `sa.evals_per_sec` gauges are recorded.
-    ///
-    /// # RNG contract
-    ///
-    /// This driver consumes randomness on its own schedule —
-    /// `neighborhood` proposals, then at most one Metropolis draw, per
-    /// step — so its trajectories are **not** comparable with
-    /// [`optimize`](Self::optimize) (one proposal per step). They are,
-    /// however, deterministic in `(config.seed, neighborhood)` and
-    /// identical across batched and per-candidate evaluator backends,
-    /// because [`GnnEvaluator`]'s batch path is bit-identical to its
-    /// sequential path.
-    ///
-    /// [`GnnEvaluator`]: crate::evaluator::GnnEvaluator
-    pub fn optimize_neighborhood_observed(
-        &self,
-        problem: &PlacementProblem,
-        initial: &Placement,
-        evaluator: &mut dyn BatchEvaluator,
-        trials: usize,
-        neighborhood: usize,
-        obs: &Obs,
-    ) -> SaResult {
-        let start = wall_timer();
-        evaluator.set_tracer(obs.tracer.clone());
-        let neighborhood = neighborhood.max(1);
-        let initial_objective = evaluator
-            .total_throughput(problem, initial)
-            .unwrap_or(f64::NEG_INFINITY);
-        let mut result_trials = Vec::with_capacity(trials);
-        let mut best = initial.clone();
-        let mut best_obj = initial_objective;
-        let mut termination_reason = TerminationReason::Completed;
-        for t in 0..trials {
-            let _trial_span = obs.tracer.span("sa.trial");
-            let trial_start = wall_timer();
-            let mut rng = SmallRng::seed_from_u64(self.config.seed.wrapping_add(t as u64));
-            let mut core = TrialCore::fresh(
-                initial,
-                initial_objective,
-                self.config.initial_temp,
-                self.config.max_steps,
-            );
-            for step in 0..self.config.max_steps {
-                if obs.cancel.is_set() {
-                    termination_reason = TerminationReason::Cancelled;
-                    break;
-                }
-                self.neighborhood_step(
-                    problem,
-                    evaluator,
-                    &mut rng,
-                    &mut core,
-                    step,
-                    neighborhood,
-                    trial_start,
-                    obs,
-                );
-            }
-            let trial = core.into_trial(trial_start.elapsed().as_secs_f64());
-            if trial.best_objective > best_obj {
-                best = trial.best_placement.clone();
-                best_obj = trial.best_objective;
-            }
-            if obs.is_enabled() {
-                obs.registry.counter("sa.trials").inc();
-                if trial.eval_failures > 0 {
-                    obs.registry
-                        .counter("sa.eval_failures")
-                        .add(trial.eval_failures);
-                }
-                obs.registry.gauge("sa.best_objective").set(best_obj);
-            }
-            result_trials.push(trial);
-            if termination_reason != TerminationReason::Completed {
-                break;
-            }
-        }
-        let elapsed_secs = start.elapsed().as_secs_f64();
-        let evaluations = evaluator.evaluations();
-        if obs.is_enabled() {
-            obs.registry.counter("sa.evaluations").add(evaluations);
-            if elapsed_secs > 0.0 {
-                obs.registry
-                    .gauge("sa.evals_per_sec")
-                    .set(evaluations as f64 / elapsed_secs);
-            }
-        }
-        SaResult {
-            trials: result_trials,
-            best_placement: best,
-            best_objective: best_obj,
-            initial_objective,
-            evaluations,
-            elapsed_secs,
-            termination_reason,
-        }
-    }
-
-    /// One neighborhood step: propose, batch-evaluate, accept/reject the
-    /// best candidate.
+    /// Run the remaining steps of `core`'s trial and hand the state
+    /// after each step to `after_step` (with the process's evaluation
+    /// count), where mid-trial checkpoints hook in. With a `budget` —
+    /// the search's start instant and the evaluations of earlier
+    /// processes — the search budget is checked before each step:
+    /// cancellation beats the deadline, which beats the evaluation cap.
+    /// Returns why the trial stopped early, if it did.
     #[allow(clippy::too_many_arguments)]
-    fn neighborhood_step(
+    fn run_steps<E>(
         &self,
         problem: &PlacementProblem,
         evaluator: &mut dyn BatchEvaluator,
-        rng: &mut SmallRng,
-        core: &mut TrialCore,
-        step: usize,
         neighborhood: usize,
-        trial_start: Instant,
+        core: &mut TrialCore,
+        budget: Option<(Instant, u64)>,
+        obs: &Obs,
+        mut after_step: impl FnMut(&TrialCore, u64) -> Result<(), E>,
+    ) -> Result<Option<TerminationReason>, E> {
+        let (wall, cap) = (self.config.max_wall_secs, self.config.max_evaluations);
+        while core.next_step < self.config.max_steps {
+            if let Some((start, eval_offset)) = budget {
+                let evals = eval_offset + evaluator.evaluations();
+                let stop = if obs.cancel.is_set() {
+                    Some(TerminationReason::Cancelled)
+                } else if wall.is_some_and(|s| s >= 0.0 && start.elapsed().as_secs_f64() >= s) {
+                    Some(TerminationReason::WallClock)
+                } else if cap.is_some_and(|cap| evals >= cap) {
+                    Some(TerminationReason::MaxEvaluations)
+                } else {
+                    None
+                };
+                if stop.is_some() {
+                    return Ok(stop);
+                }
+            }
+            self.step(problem, evaluator, neighborhood, core, obs);
+            after_step(core, evaluator.evaluations())?;
+        }
+        Ok(None)
+    }
+
+    /// One annealing step: propose up to `neighborhood` candidates from
+    /// the current decision, score them in one
+    /// [`BatchEvaluator::total_throughput_batch`] call, and run the
+    /// Metropolis accept/reject test against the best evaluable
+    /// candidate (ties keep the earliest proposal). Failed candidates
+    /// count in [`SaTrial::eval_failures`]; a step with no feasible
+    /// proposal, or whose whole neighborhood fails, is a rejected step.
+    ///
+    /// The RNG call order — the proposals, then a Metropolis draw only
+    /// when the chosen candidate does not improve — is the bit-identity
+    /// contract across drivers and checkpoint resumes; do not reorder.
+    fn step(
+        &self,
+        problem: &PlacementProblem,
+        evaluator: &mut dyn BatchEvaluator,
+        neighborhood: usize,
+        core: &mut TrialCore,
         obs: &Obs,
     ) {
         let _iter_span = obs.tracer.span("sa.iteration");
         let mut candidates = Vec::with_capacity(neighborhood);
         for _ in 0..neighborhood {
-            if let Some(c) = self.propose(problem, &core.current, rng) {
+            if let Some(c) = self.propose(problem, &core.current, &mut core.rng) {
                 candidates.push(c);
             }
         }
@@ -830,12 +642,8 @@ impl SimulatedAnnealing {
             let batch_span = obs.tracer.span("sa.batch_eval");
             let scores = evaluator.total_throughput_batch(problem, &candidates);
             batch_span.close();
-            if obs.is_enabled() {
-                obs.registry.counter("sa.batch_evals").inc();
-            }
+            core.batch_evals += 1;
             core.eval_failures += scores.iter().filter(|r| r.is_err()).count() as u64;
-            // Best evaluable candidate wins the neighborhood; ties keep
-            // the earliest proposal for determinism.
             let mut chosen: Option<(usize, f64)> = None;
             for (idx, score) in scores.iter().enumerate() {
                 if let Ok(obj) = score {
@@ -848,7 +656,7 @@ impl SimulatedAnnealing {
                 Some((idx, obj)) => {
                     let accept = obj > core.current_obj || {
                         let p = ((obj - core.current_obj) / core.temp.max(1e-12)).exp();
-                        rng.gen::<f64>() < p
+                        core.rng.gen::<f64>() < p
                     };
                     if accept {
                         core.current = candidates.swap_remove(idx);
@@ -857,8 +665,8 @@ impl SimulatedAnnealing {
                             core.best = core.current.clone();
                             core.best_obj = obj;
                             core.improvements.push(SaImprovement {
-                                step,
-                                elapsed_secs: trial_start.elapsed().as_secs_f64(),
+                                step: core.next_step,
+                                elapsed_secs: core.start.elapsed().as_secs_f64(),
                                 placement: core.best.clone(),
                                 objective: core.best_obj,
                             });
@@ -866,58 +674,106 @@ impl SimulatedAnnealing {
                     }
                     (obj, accept)
                 }
-                // The whole neighborhood failed to evaluate: rejected step.
+                // Graceful degradation: an unevaluable neighborhood is
+                // a rejected step; decision and best-so-far stay intact.
                 None => (f64::NEG_INFINITY, false),
             }
         };
         core.temp *= self.config.cooling;
         core.steps.push(SaStep {
-            step,
+            step: core.next_step,
             candidate_objective,
             current_objective: core.current_obj,
             best_objective: core.best_obj,
             accepted,
-            elapsed_secs: trial_start.elapsed().as_secs_f64(),
+            elapsed_secs: core.start.elapsed().as_secs_f64(),
         });
+        core.next_step += 1;
     }
 
-    /// [`optimize`](Self::optimize) with crash-safe checkpointing and
-    /// no telemetry; see
-    /// [`optimize_checkpointed_observed`](Self::optimize_checkpointed_observed).
-    ///
-    /// # Errors
-    ///
-    /// See [`optimize_checkpointed_observed`](Self::optimize_checkpointed_observed).
-    #[allow(clippy::too_many_arguments)]
-    pub fn optimize_checkpointed(
+    /// Run `trials` independent trials from the same initial placement
+    /// (the paper's multi-start scheme) and keep the best decision.
+    pub fn optimize(
         &self,
         problem: &PlacementProblem,
         initial: &Placement,
-        evaluator: &mut dyn Evaluator,
+        evaluator: &mut dyn BatchEvaluator,
         trials: usize,
-        store: &CkptStore,
-        every: usize,
-        resume: bool,
-    ) -> Result<SaResult, PlacementError> {
-        self.optimize_checkpointed_observed(
+    ) -> SaResult {
+        self.optimize_observed(problem, initial, evaluator, trials, &Obs::disabled())
+    }
+
+    /// [`optimize`](Self::optimize) with search telemetry recorded into
+    /// `obs`: the single-proposal (k = 1) case of
+    /// [`optimize_neighborhood_observed`](Self::optimize_neighborhood_observed),
+    /// which lists the signals.
+    pub fn optimize_observed(
+        &self,
+        problem: &PlacementProblem,
+        initial: &Placement,
+        evaluator: &mut dyn BatchEvaluator,
+        trials: usize,
+        obs: &Obs,
+    ) -> SaResult {
+        self.optimize_neighborhood_observed(problem, initial, evaluator, trials, 1, obs)
+    }
+
+    /// Run `trials` annealing trials in which each step proposes up to
+    /// `neighborhood` (k) candidates from the current decision, scores
+    /// them all in **one** [`BatchEvaluator::total_throughput_batch`]
+    /// call (one batched surrogate forward pass for [`GnnEvaluator`]),
+    /// and runs the Metropolis accept/reject test against the
+    /// best-scoring one. k = 0 is treated as 1, the paper's
+    /// single-proposal search. The search stops early, returning the
+    /// best-so-far, on cancellation (`obs.cancel`) or when the
+    /// [`SaConfig`] budget runs out.
+    ///
+    /// With an enabled `obs`, every search records the `sa.*` counters
+    /// and gauges of `crates/obs/README.md` and one `sa_trial` event per
+    /// trial, aggregated after each trial, plus `sa.trial`,
+    /// `sa.iteration` and `sa.batch_eval` spans.
+    ///
+    /// # RNG contract
+    ///
+    /// A step consumes k proposals, then at most one Metropolis draw.
+    /// k = 1 is the single-proposal schedule of
+    /// [`optimize`](Self::optimize), bit for bit; other k walk their own
+    /// trajectories. Every trajectory is deterministic in
+    /// `(config.seed, k)` and identical across batched and
+    /// per-candidate evaluator backends, because [`GnnEvaluator`]'s
+    /// batch path is bit-identical to its sequential path.
+    ///
+    /// [`GnnEvaluator`]: crate::evaluator::GnnEvaluator
+    pub fn optimize_neighborhood_observed(
+        &self,
+        problem: &PlacementProblem,
+        initial: &Placement,
+        evaluator: &mut dyn BatchEvaluator,
+        trials: usize,
+        neighborhood: usize,
+        obs: &Obs,
+    ) -> SaResult {
+        let Ok(result) = self.anneal(
             problem,
             initial,
             evaluator,
             trials,
-            store,
-            every,
-            resume,
-            &Obs::disabled(),
-        )
+            neighborhood,
+            None,
+            &mut (),
+            obs,
+        );
+        result
     }
 
-    /// [`optimize_observed`](Self::optimize_observed) with crash-safe
-    /// checkpointing: the complete search state — best-so-far placement,
-    /// current/best objectives, temperature, raw RNG words, and the
-    /// cumulative evaluation count — is persisted to `store` every
-    /// `every` steps and at every trial boundary, so a search killed at
-    /// any point and rerun with `resume = true` continues the exact
-    /// annealing trajectory and lands on a bit-identical best placement.
+    /// [`optimize_neighborhood_observed`](Self::optimize_neighborhood_observed)
+    /// with crash-safe checkpointing: the complete search state —
+    /// best-so-far placement, current/best objectives, temperature, raw
+    /// RNG words, and the cumulative evaluation count — is persisted to
+    /// `store` every `every` steps and at every trial boundary, so a
+    /// search killed at any point and rerun with `resume = true`
+    /// continues the exact annealing trajectory and lands on a
+    /// bit-identical best placement.
     ///
     /// The initial placement is evaluated exactly once per search, in
     /// the first process; resumed processes restore its stored
@@ -931,145 +787,121 @@ impl SimulatedAnnealing {
     /// [`CkptError::NoCheckpoint`] when `resume` is set but `store`
     /// holds no usable checkpoint; [`CkptError::ResumeMismatch`] when
     /// the latest checkpoint belongs to a different configuration,
-    /// trial count, or initial placement; and any I/O failure while
-    /// saving.
+    /// neighborhood size, trial count, or initial placement; and any
+    /// I/O failure while saving.
     #[allow(clippy::too_many_arguments)]
     pub fn optimize_checkpointed_observed(
         &self,
         problem: &PlacementProblem,
         initial: &Placement,
-        evaluator: &mut dyn Evaluator,
+        evaluator: &mut dyn BatchEvaluator,
         trials: usize,
+        neighborhood: usize,
         store: &CkptStore,
         every: usize,
         resume: bool,
         obs: &Obs,
     ) -> Result<SaResult, PlacementError> {
-        let start = wall_timer();
         if every == 0 {
             return Err(PlacementError::Checkpoint(CkptError::InvalidCadence));
         }
-
-        let mut next_seq: u64 = 1;
-        let initial_objective: f64;
-        let eval_offset: u64;
-        let mut completed: Vec<SaTrial>;
-        let mut best: Placement;
-        let mut best_obj: f64;
-        let start_trial: usize;
-        let mut mid: Option<SaCheckpoint> = None;
-        if resume {
+        let mut sink = StoreSink {
+            store,
+            every,
+            max_steps: self.config.max_steps,
+            next_seq: 1,
+        };
+        let resume_from = if resume {
             let (seq, ck) = store.resume_latest_state::<SaCheckpoint>()?;
-            self.validate_sa_checkpoint(&ck, trials, initial)?;
-            next_seq = seq + 1;
-            initial_objective = ck.initial_objective;
-            eval_offset = ck.evaluations;
-            completed = ck.completed.clone();
-            best = ck.best.clone();
-            best_obj = ck.best_objective;
-            start_trial = ck.trial;
-            if ck.step_next > 0 {
-                mid = Some(ck);
-            }
+            self.validate_sa_checkpoint(&ck, trials, neighborhood, initial)?;
+            sink.next_seq = seq + 1;
+            Some(ck)
         } else {
+            None
+        };
+        self.anneal(
+            problem,
+            initial,
+            evaluator,
+            trials,
+            neighborhood,
+            resume_from,
+            &mut sink,
+            obs,
+        )
+    }
+
+    /// The one multi-trial annealing loop behind every search entry
+    /// point: runs trials from a fresh start or from `resume_from`,
+    /// persisting mid-trial and trial-boundary checkpoints to `sink`.
+    #[allow(clippy::too_many_arguments)]
+    fn anneal<S: CheckpointSink>(
+        &self,
+        problem: &PlacementProblem,
+        initial: &Placement,
+        evaluator: &mut dyn BatchEvaluator,
+        trials: usize,
+        neighborhood: usize,
+        resume_from: Option<SaCheckpoint>,
+        sink: &mut S,
+        obs: &Obs,
+    ) -> Result<SaResult, S::Error> {
+        let start = wall_timer();
+        evaluator.set_tracer(obs.tracer.clone());
+        let k = neighborhood.max(1);
+        let (mut progress, mut mid) = match resume_from {
+            Some(mut ck) => {
+                let progress = Progress {
+                    initial_objective: ck.initial_objective,
+                    eval_offset: ck.evaluations,
+                    completed: std::mem::take(&mut ck.completed),
+                    best: ck.best.clone(),
+                    best_obj: ck.best_objective,
+                };
+                (progress, (ck.step_next > 0).then(|| TrialCore::resume(ck)))
+            }
             // Graceful degradation: if even the initial placement cannot
             // be evaluated, the search still runs — any successfully
-            // evaluated candidate beats `-inf` and becomes the best.
-            initial_objective = evaluator
-                .total_throughput(problem, initial)
-                .unwrap_or(f64::NEG_INFINITY);
-            eval_offset = 0;
-            completed = Vec::with_capacity(trials);
-            best = initial.clone();
-            best_obj = initial_objective;
-            start_trial = 0;
-        }
-
+            // evaluated candidate beats `-inf`.
+            None => {
+                let objective = evaluator.total_throughput(problem, initial);
+                (
+                    Progress::fresh(initial, objective.unwrap_or(f64::NEG_INFINITY)),
+                    None,
+                )
+            }
+        };
+        let initial_objective = progress.initial_objective;
+        let budget = Some((start, progress.eval_offset));
         let mut termination_reason = TerminationReason::Completed;
         let mut proposals_total = 0u64;
         let mut accepted_total = 0u64;
-        for t in start_trial..trials {
-            let trial_start = wall_timer();
-            let (mut rng, mut core, first_step) = match mid.take() {
-                Some(ck) => (
-                    SmallRng::from_state(ck.rng),
-                    TrialCore {
-                        current: ck.current,
-                        current_obj: ck.current_objective,
-                        best: ck.trial_best,
-                        best_obj: ck.trial_best_objective,
-                        temp: ck.temp,
-                        steps: ck.steps,
-                        improvements: ck.improvements,
-                        eval_failures: ck.eval_failures,
-                    },
-                    ck.step_next,
-                ),
-                None => (
-                    SmallRng::seed_from_u64(self.config.seed.wrapping_add(t as u64)),
-                    TrialCore::fresh(
-                        initial,
-                        initial_objective,
-                        self.config.initial_temp,
-                        self.config.max_steps,
-                    ),
-                    0,
-                ),
-            };
-            let mut stopped: Option<TerminationReason> = None;
-            for step in first_step..self.config.max_steps {
-                // A cancelled (SIGTERM'd) search stops at the step
-                // boundary and falls through to the trial-boundary
-                // checkpoint below, so the flushed state is exactly the
-                // budget-stop shape a later `--resume` understands.
-                if obs.cancel.is_set() {
-                    stopped = Some(TerminationReason::Cancelled);
-                    break;
-                }
-                if let Some(secs) = self
-                    .config
-                    .max_wall_secs
-                    .filter(|s| s.is_finite() && *s >= 0.0)
-                {
-                    if start.elapsed().as_secs_f64() >= secs {
-                        stopped = Some(TerminationReason::WallClock);
-                        break;
-                    }
-                }
-                if let Some(cap) = self.config.max_evaluations {
-                    if eval_offset + evaluator.evaluations() >= cap {
-                        stopped = Some(TerminationReason::MaxEvaluations);
-                        break;
-                    }
-                }
-                self.anneal_step(problem, evaluator, &mut rng, &mut core, step, trial_start);
-                let done = step + 1;
-                // Mid-trial checkpoints at the cadence; the final step of
-                // a trial is covered by the boundary checkpoint below.
-                if done % every == 0 && done < self.config.max_steps {
-                    let ck = self.checkpoint_state(
-                        trials,
-                        initial,
-                        initial_objective,
-                        eval_offset + evaluator.evaluations(),
-                        &best,
-                        best_obj,
-                        &completed,
-                        t,
-                        done,
-                        rng.state(),
-                        &core,
-                    );
-                    store.save_state(next_seq, &ck)?;
-                    next_seq += 1;
-                }
-            }
-            let trial = core.into_trial(trial_start.elapsed().as_secs_f64());
-            if trial.best_objective > best_obj {
-                best = trial.best_placement.clone();
-                best_obj = trial.best_objective;
-            }
+        // Every completed (or budget-stopped) trial is in `progress`, so
+        // its length is the index of the next trial to run.
+        for t in progress.completed.len()..trials {
+            let mut core = mid.take().unwrap_or_else(|| {
+                TrialCore::fresh(initial, initial_objective, &self.config, self.trial_seed(t))
+            });
+            let trial_span = obs.tracer.span("sa.trial");
+            let stopped = self.run_steps(
+                problem,
+                evaluator,
+                k,
+                &mut core,
+                budget,
+                obs,
+                |core, evals| {
+                    let evals = progress.eval_offset + evals;
+                    sink.save(core.next_step, || {
+                        self.checkpoint_state(initial, trials, k, &progress, evals, t, core)
+                    })
+                },
+            )?;
+            trial_span.close();
+            let batch_evals = core.batch_evals;
+            progress.push(core.into_trial());
             if obs.is_enabled() {
+                let trial = &progress.completed[progress.completed.len() - 1];
                 let proposals = trial.steps.len() as u64;
                 let accepted = trial.steps.iter().filter(|s| s.accepted).count() as u64;
                 proposals_total += proposals;
@@ -1077,6 +909,7 @@ impl SimulatedAnnealing {
                 obs.registry.counter("sa.trials").inc();
                 obs.registry.counter("sa.proposals").add(proposals);
                 obs.registry.counter("sa.accepted").add(accepted);
+                obs.registry.counter("sa.batch_evals").add(batch_evals);
                 if trial.eval_failures > 0 {
                     obs.registry
                         .counter("sa.eval_failures")
@@ -1087,7 +920,9 @@ impl SimulatedAnnealing {
                         .gauge("sa.accept_rate")
                         .set(accepted_total as f64 / proposals_total as f64);
                 }
-                obs.registry.gauge("sa.best_objective").set(best_obj);
+                obs.registry
+                    .gauge("sa.best_objective")
+                    .set(progress.best_obj);
                 obs.registry.gauge("sa.temperature").set(
                     self.config.initial_temp * self.config.cooling.powi(trial.steps.len() as i32),
                 );
@@ -1104,83 +939,64 @@ impl SimulatedAnnealing {
                     },
                 );
             }
-            completed.push(trial);
             if let Some(reason) = stopped {
                 termination_reason = reason;
             }
             // Trial-boundary checkpoint (step_next == 0): always saved,
             // so a completed search leaves a final `trial == trials`
             // record and a resume returns the stored result directly.
-            let boundary = self.checkpoint_state(
-                trials,
-                initial,
-                initial_objective,
-                eval_offset + evaluator.evaluations(),
-                &best,
-                best_obj,
-                &completed,
-                t + 1,
-                0,
-                SmallRng::seed_from_u64(self.config.seed.wrapping_add(t as u64 + 1)).state(),
-                &TrialCore::fresh(initial, initial_objective, self.config.initial_temp, 0),
-            );
-            store.save_state(next_seq, &boundary)?;
-            next_seq += 1;
+            // A cancelled or budget-stopped search flushes the same shape.
+            let evals = progress.eval_offset + evaluator.evaluations();
+            sink.save(0, || {
+                let next_seed = self.trial_seed(t + 1);
+                let next = TrialCore::fresh(initial, initial_objective, &self.config, next_seed);
+                self.checkpoint_state(initial, trials, k, &progress, evals, t + 1, &next)
+            })?;
             if termination_reason != TerminationReason::Completed {
                 break;
             }
         }
 
-        let elapsed_secs = start.elapsed().as_secs_f64();
         let process_evals = evaluator.evaluations();
+        let result = progress.into_result(process_evals, start, termination_reason);
         if obs.is_enabled() {
             obs.registry.counter("sa.evaluations").add(process_evals);
-            if elapsed_secs > 0.0 {
+            if result.elapsed_secs > 0.0 {
                 obs.registry
                     .gauge("sa.evals_per_sec")
-                    .set(process_evals as f64 / elapsed_secs);
+                    .set(process_evals as f64 / result.elapsed_secs);
             }
         }
-        Ok(SaResult {
-            trials: completed,
-            best_placement: best,
-            best_objective: best_obj,
-            initial_objective,
-            evaluations: eval_offset + process_evals,
-            elapsed_secs,
-            termination_reason,
-        })
+        Ok(result)
     }
 
     /// Snapshot the full search state into a [`SaCheckpoint`], clamping
     /// non-finite objectives so the payload round-trips through JSON.
+    /// `trial` is the in-flight trial and `core` its state.
     #[allow(clippy::too_many_arguments)]
     fn checkpoint_state(
         &self,
-        trials: usize,
         initial: &Placement,
-        initial_objective: f64,
+        trials: usize,
+        neighborhood: usize,
+        progress: &Progress,
         evaluations: u64,
-        best: &Placement,
-        best_objective: f64,
-        completed: &[SaTrial],
         trial: usize,
-        step_next: usize,
-        rng: [u64; 4],
         core: &TrialCore,
     ) -> SaCheckpoint {
         SaCheckpoint {
             config: self.config,
             trials,
+            neighborhood,
             initial: initial.clone(),
-            initial_objective: finite_or_min(initial_objective),
+            initial_objective: finite_or_min(progress.initial_objective),
             evaluations,
-            best: best.clone(),
-            best_objective: finite_or_min(best_objective),
-            completed: completed.iter().map(sanitize_trial).collect(),
+            best: progress.best.clone(),
+            best_objective: finite_or_min(progress.best_obj),
+            completed: progress.completed.iter().map(sanitize_trial).collect(),
             trial,
-            step_next,
-            rng,
+            step_next: core.next_step,
+            rng: core.rng.state(),
             current: core.current.clone(),
             current_objective: finite_or_min(core.current_obj),
             trial_best: core.best.clone(),
@@ -1198,6 +1014,7 @@ impl SimulatedAnnealing {
         &self,
         ck: &SaCheckpoint,
         trials: usize,
+        neighborhood: usize,
         initial: &Placement,
     ) -> Result<(), PlacementError> {
         let mismatch = |reason: &str| {
@@ -1208,6 +1025,11 @@ impl SimulatedAnnealing {
         if ck.config != self.config {
             return Err(mismatch(
                 "search configuration differs from the checkpointed run",
+            ));
+        }
+        if ck.neighborhood.max(1) != neighborhood.max(1) {
+            return Err(mismatch(
+                "neighborhood size differs from the checkpointed run",
             ));
         }
         if ck.trials != trials {
@@ -1227,60 +1049,36 @@ impl SimulatedAnnealing {
         Ok(())
     }
 
-    /// Run trials until `budget_secs` of wall clock is exhausted (the
-    /// fixed-time comparison of Section VIII-C4a). At least one trial
-    /// always completes.
+    /// Run single-proposal trials until `budget_secs` of wall clock is
+    /// exhausted (the fixed-time comparison of Section VIII-C4a). At
+    /// least one trial always completes.
     pub fn optimize_for(
         &self,
         problem: &PlacementProblem,
         initial: &Placement,
-        evaluator: &mut dyn Evaluator,
+        evaluator: &mut dyn BatchEvaluator,
         budget_secs: f64,
     ) -> SaResult {
         let start = wall_timer();
-        let initial_objective = evaluator
-            .total_throughput(problem, initial)
-            .unwrap_or(f64::NEG_INFINITY);
-        let mut result_trials = Vec::new();
-        let mut best = initial.clone();
-        let mut best_obj = initial_objective;
-        let mut t = 0u64;
-        loop {
-            let trial = self.run_trial(
-                problem,
-                initial,
-                initial_objective,
-                evaluator,
-                self.config.seed.wrapping_add(t),
-            );
-            t += 1;
-            if trial.best_objective > best_obj {
-                best = trial.best_placement.clone();
-                best_obj = trial.best_objective;
-            }
-            result_trials.push(trial);
+        let objective = evaluator.total_throughput(problem, initial);
+        let mut progress = Progress::fresh(initial, objective.unwrap_or(f64::NEG_INFINITY));
+        for t in 0.. {
+            let x0 = progress.initial_objective;
+            progress.push(self.run_trial(problem, initial, x0, evaluator, self.trial_seed(t)));
             if start.elapsed().as_secs_f64() >= budget_secs {
                 break;
             }
         }
-        SaResult {
-            trials: result_trials,
-            best_placement: best,
-            best_objective: best_obj,
-            initial_objective,
-            evaluations: evaluator.evaluations(),
-            elapsed_secs: start.elapsed().as_secs_f64(),
-            // Exhausting the requested time budget *is* this entry
-            // point's normal completion.
-            termination_reason: TerminationReason::Completed,
-        }
+        // Exhausting the requested time budget *is* this entry point's
+        // normal completion.
+        progress.into_result(evaluator.evaluations(), start, TerminationReason::Completed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::SimEvaluator;
+    use crate::evaluator::{Evaluator, SimEvaluator};
     use chainnet_qsim::model::{Device, Fragment, ServiceChain};
     use chainnet_qsim::sim::SimConfig;
 
@@ -1380,6 +1178,65 @@ mod tests {
         assert_eq!(res.trials.len(), 1);
     }
 
+    /// An in-memory event sink shared with the test.
+    #[derive(Clone, Default)]
+    struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// An enabled context with a tracer and an in-memory event log.
+    fn full_obs() -> (Obs, SharedBuf) {
+        let buf = SharedBuf::default();
+        let obs = Obs::enabled()
+            .with_tracer(chainnet_obs::Tracer::enabled())
+            .with_events(chainnet_obs::EventLog::to_writer(Box::new(buf.clone())));
+        (obs, buf)
+    }
+
+    /// Every SA run, whatever its k, records the same signal set.
+    fn assert_sa_signal_set(obs: &Obs, events: &SharedBuf, res: &SaResult, cfg: &SaConfig) {
+        let snap = obs.registry.snapshot();
+        let proposals: u64 = res.trials.iter().map(|t| t.steps.len() as u64).sum();
+        let accepted = res
+            .trials
+            .iter()
+            .flat_map(|t| &t.steps)
+            .filter(|s| s.accepted)
+            .count() as u64;
+        assert_eq!(snap.counters["sa.trials"], res.trials.len() as u64);
+        assert_eq!(snap.counters["sa.proposals"], proposals);
+        assert_eq!(snap.counters["sa.accepted"], accepted);
+        assert_eq!(snap.counters["sa.evaluations"], res.evaluations);
+        // One batch call per step that produced at least one proposal.
+        let batches = snap.counters["sa.batch_evals"];
+        assert!((1..=proposals).contains(&batches), "batches {batches}");
+        assert_eq!(
+            snap.gauges["sa.accept_rate"],
+            accepted as f64 / proposals as f64
+        );
+        assert_eq!(snap.gauges["sa.best_objective"], res.best_objective);
+        let last_steps = res.trials.last().map_or(0, |t| t.steps.len()) as i32;
+        let expected_temp = cfg.initial_temp * cfg.cooling.powi(last_steps);
+        assert!((snap.gauges["sa.temperature"] - expected_temp).abs() < 1e-12);
+        let log = String::from_utf8(events.0.lock().unwrap().clone()).unwrap();
+        let trial_events = log.lines().filter(|l| l.contains(r#""kind":"sa_trial""#));
+        assert_eq!(trial_events.count(), res.trials.len());
+        let trace = obs.tracer.take();
+        trace.validate().unwrap();
+        let stats = trace.phase_stats();
+        assert_eq!(stats["sa.trial"].count, res.trials.len() as u64);
+        assert_eq!(stats["sa.iteration"].count, proposals);
+        assert_eq!(stats["sa.batch_eval"].count, batches);
+    }
+
     #[test]
     fn observed_search_matches_plain_and_records_metrics() {
         let p = lopsided_problem();
@@ -1388,22 +1245,14 @@ mod tests {
         let mut ev1 = SimEvaluator::new(SimConfig::new(500.0, 9));
         let mut ev2 = SimEvaluator::new(SimConfig::new(500.0, 9));
         let plain = sa.optimize(&p, &init, &mut ev1, 2);
-        let obs = Obs::enabled();
+        let (obs, events) = full_obs();
         let observed = sa.optimize_observed(&p, &init, &mut ev2, 2, &obs);
         // Instrumentation must not perturb the search.
         assert_eq!(plain.best_placement, observed.best_placement);
         assert_eq!(plain.best_objective, observed.best_objective);
         assert_eq!(plain.evaluations, observed.evaluations);
-        let snap = obs.registry.snapshot();
-        assert_eq!(snap.counters["sa.trials"], 2);
-        assert_eq!(snap.counters["sa.proposals"], 24);
-        assert_eq!(snap.counters["sa.evaluations"], observed.evaluations);
-        let accepted = snap.counters["sa.accepted"];
-        assert!(accepted <= 24);
-        assert_eq!(snap.gauges["sa.accept_rate"], accepted as f64 / 24.0);
-        assert_eq!(snap.gauges["sa.best_objective"], observed.best_objective);
-        let expected_temp = 0.5 * 0.9f64.powi(12);
-        assert!((snap.gauges["sa.temperature"] - expected_temp).abs() < 1e-12);
+        assert_eq!(obs.registry.snapshot().counters["sa.proposals"], 24);
+        assert_sa_signal_set(&obs, &events, &observed, sa.config());
     }
 
     #[test]
@@ -1414,7 +1263,7 @@ mod tests {
         let sa = SimulatedAnnealing::new(SaConfig::paper_default().with_max_steps(6));
         let mut ev1 = SimEvaluator::new(SimConfig::new(300.0, 11));
         let mut ev2 = SimEvaluator::new(SimConfig::new(300.0, 11));
-        let plain = sa.optimize_neighborhood(&p, &init, &mut ev1, 2, 3);
+        let plain = sa.optimize_neighborhood_observed(&p, &init, &mut ev1, 2, 3, &Obs::disabled());
         let obs = Obs::enabled().with_tracer(Tracer::enabled());
         let traced = sa.optimize_neighborhood_observed(&p, &init, &mut ev2, 2, 3, &obs);
         // Span tracing must not perturb the trajectory in any way.
@@ -1469,14 +1318,24 @@ mod tests {
         let cfg = SaConfig::paper_default()
             .with_max_steps(50)
             .with_max_evaluations(7);
-        let mut ev = SimEvaluator::new(SimConfig::new(200.0, 2));
-        let res = SimulatedAnnealing::new(cfg).optimize(&p, &init, &mut ev, 5);
-        assert_eq!(res.termination_reason, TerminationReason::MaxEvaluations);
-        // The cap is checked before each candidate: at most one overshoot.
-        assert!(res.evaluations <= 8, "evaluations {}", res.evaluations);
-        assert!(res.trials.len() < 5);
-        assert!(res.best_objective >= res.initial_objective);
-        assert!(p.is_feasible(&res.best_placement));
+        for k in [1, 4] {
+            let mut ev = SimEvaluator::new(SimConfig::new(200.0, 2));
+            let res = SimulatedAnnealing::new(cfg).optimize_neighborhood_observed(
+                &p,
+                &init,
+                &mut ev,
+                5,
+                k,
+                &Obs::disabled(),
+            );
+            assert_eq!(res.termination_reason, TerminationReason::MaxEvaluations);
+            // The cap is checked before each step: a k-candidate step
+            // overshoots it by at most k - 1.
+            assert!(res.evaluations < 7 + k as u64, "k {k}: {}", res.evaluations);
+            assert!(res.trials.len() < 5);
+            assert!(res.best_objective >= res.initial_objective);
+            assert!(p.is_feasible(&res.best_placement));
+        }
     }
 
     #[test]
@@ -1486,13 +1345,23 @@ mod tests {
         let cfg = SaConfig::paper_default()
             .with_max_steps(50)
             .with_max_wall_secs(0.0);
-        let mut ev = SimEvaluator::new(SimConfig::new(200.0, 3));
-        let res = SimulatedAnnealing::new(cfg).optimize(&p, &init, &mut ev, 3);
-        assert_eq!(res.termination_reason, TerminationReason::WallClock);
-        // Deadline already passed: only the initial evaluation happened,
-        // and the initial placement is returned as best-so-far.
-        assert_eq!(res.evaluations, 1);
-        assert_eq!(res.best_placement, init);
+        for k in [1, 4] {
+            let mut ev = SimEvaluator::new(SimConfig::new(200.0, 3));
+            let res = SimulatedAnnealing::new(cfg).optimize_neighborhood_observed(
+                &p,
+                &init,
+                &mut ev,
+                3,
+                k,
+                &Obs::disabled(),
+            );
+            assert_eq!(res.termination_reason, TerminationReason::WallClock);
+            // Deadline already passed: only the initial evaluation
+            // happened, and the initial placement is returned as
+            // best-so-far.
+            assert_eq!(res.evaluations, 1);
+            assert_eq!(res.best_placement, init);
+        }
     }
 
     #[test]
@@ -1594,6 +1463,7 @@ mod tests {
                 self.count
             }
         }
+        impl BatchEvaluator for FailAfterFirst {}
 
         let p = lopsided_problem();
         let init = p.initial_placement().unwrap();
@@ -1654,7 +1524,7 @@ mod tests {
         let store =
             chainnet_ckpt::CkptStore::open_observed(&dir, "sa", SA_CKPT_SCHEMA, &obs).unwrap();
         let ckpt = sa
-            .optimize_checkpointed_observed(&p, &init, &mut ev2, 2, &store, 5, false, &obs)
+            .optimize_checkpointed_observed(&p, &init, &mut ev2, 2, 1, &store, 5, false, &obs)
             .unwrap();
         assert_eq!(strip_time(plain), strip_time(ckpt));
         // Two mid-trial saves (steps 5 and 10) plus one boundary save
@@ -1671,27 +1541,51 @@ mod tests {
         let p = lopsided_problem();
         let init = p.initial_placement().unwrap();
         let sa = SimulatedAnnealing::new(SaConfig::paper_default().with_max_steps(12).with_seed(3));
-        let dir_full = ckpt_tmp_dir("kill-full");
-        let dir_cut = ckpt_tmp_dir("kill-cut");
-        let full_store = chainnet_ckpt::CkptStore::open(&dir_full, "sa", SA_CKPT_SCHEMA).unwrap();
-        let mut ev_full = SimEvaluator::new(SimConfig::new(500.0, 11));
-        let full = sa
-            .optimize_checkpointed(&p, &init, &mut ev_full, 2, &full_store, 3, false)
-            .unwrap();
+        let off = Obs::disabled();
+        for k in [1, 4] {
+            let dir_full = ckpt_tmp_dir(&format!("kill-full-k{k}"));
+            let dir_cut = ckpt_tmp_dir(&format!("kill-cut-k{k}"));
+            let full_store =
+                chainnet_ckpt::CkptStore::open(&dir_full, "sa", SA_CKPT_SCHEMA).unwrap();
+            let mut ev_full = SimEvaluator::new(SimConfig::new(500.0, 11));
+            let full = sa
+                .optimize_checkpointed_observed(
+                    &p,
+                    &init,
+                    &mut ev_full,
+                    2,
+                    k,
+                    &full_store,
+                    3,
+                    false,
+                    &off,
+                )
+                .unwrap();
 
-        // A kill mid-trial-1 leaves checkpoints 1..=4 behind (three
-        // mid-trial saves at steps 3/6/9, one boundary for trial 0).
-        let cut_store = chainnet_ckpt::CkptStore::open(&dir_cut, "sa", SA_CKPT_SCHEMA).unwrap();
-        copy_ckpt_prefix(&full_store, &cut_store, 4);
-        let mut ev_cut = SimEvaluator::new(SimConfig::new(500.0, 11));
-        let resumed = sa
-            .optimize_checkpointed(&p, &init, &mut ev_cut, 2, &cut_store, 3, true)
-            .unwrap();
+            // A kill mid-trial-1 leaves checkpoints 1..=4 behind (three
+            // mid-trial saves at steps 3/6/9, one boundary for trial 0).
+            let cut_store = chainnet_ckpt::CkptStore::open(&dir_cut, "sa", SA_CKPT_SCHEMA).unwrap();
+            copy_ckpt_prefix(&full_store, &cut_store, 4);
+            let mut ev_cut = SimEvaluator::new(SimConfig::new(500.0, 11));
+            let resumed = sa
+                .optimize_checkpointed_observed(
+                    &p,
+                    &init,
+                    &mut ev_cut,
+                    2,
+                    k,
+                    &cut_store,
+                    3,
+                    true,
+                    &off,
+                )
+                .unwrap();
 
-        assert_eq!(full.evaluations, resumed.evaluations);
-        assert_eq!(strip_time(full), strip_time(resumed));
-        let _ = std::fs::remove_dir_all(&dir_full);
-        let _ = std::fs::remove_dir_all(&dir_cut);
+            assert_eq!(full.evaluations, resumed.evaluations);
+            assert_eq!(strip_time(full), strip_time(resumed));
+            let _ = std::fs::remove_dir_all(&dir_full);
+            let _ = std::fs::remove_dir_all(&dir_cut);
+        }
     }
 
     #[test]
@@ -1699,32 +1593,117 @@ mod tests {
         let p = lopsided_problem();
         let init = p.initial_placement().unwrap();
         let sa = SimulatedAnnealing::new(SaConfig::paper_default().with_max_steps(10).with_seed(5));
-        let dir_full = ckpt_tmp_dir("corrupt-full");
-        let dir_cut = ckpt_tmp_dir("corrupt-cut");
+        let off = Obs::disabled();
+        for k in [1, 4] {
+            let dir_full = ckpt_tmp_dir(&format!("corrupt-full-k{k}"));
+            let dir_cut = ckpt_tmp_dir(&format!("corrupt-cut-k{k}"));
+            let full_store =
+                chainnet_ckpt::CkptStore::open(&dir_full, "sa", SA_CKPT_SCHEMA).unwrap();
+            let mut ev_full = SimEvaluator::new(SimConfig::new(500.0, 13));
+            let full = sa
+                .optimize_checkpointed_observed(
+                    &p,
+                    &init,
+                    &mut ev_full,
+                    1,
+                    k,
+                    &full_store,
+                    2,
+                    false,
+                    &off,
+                )
+                .unwrap();
+
+            let cut_store = chainnet_ckpt::CkptStore::open(&dir_cut, "sa", SA_CKPT_SCHEMA).unwrap();
+            copy_ckpt_prefix(&full_store, &cut_store, 3);
+            // Flip one payload bit in the newest surviving checkpoint.
+            let newest = cut_store.path_of(3);
+            let mut bytes = std::fs::read(&newest).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x10;
+            std::fs::write(&newest, &bytes).unwrap();
+
+            let mut ev_cut = SimEvaluator::new(SimConfig::new(500.0, 13));
+            let resumed = sa
+                .optimize_checkpointed_observed(
+                    &p,
+                    &init,
+                    &mut ev_cut,
+                    1,
+                    k,
+                    &cut_store,
+                    2,
+                    true,
+                    &off,
+                )
+                .unwrap();
+            // The corrupt file was quarantined and the run fell back to
+            // checkpoint 2 — still landing on the identical result.
+            assert_eq!(strip_time(full), strip_time(resumed));
+            let quarantined = dir_cut.join("sa-00000003.ckpt.corrupt");
+            assert!(quarantined.exists(), "corrupt checkpoint not quarantined");
+            let _ = std::fs::remove_dir_all(&dir_full);
+            let _ = std::fs::remove_dir_all(&dir_cut);
+        }
+    }
+
+    /// A checkpoint written before `SaCheckpoint::neighborhood` existed
+    /// (no such field in the payload) came from a single-proposal
+    /// search: it resumes as k = 1 and is refused for any other k.
+    #[test]
+    fn payload_without_neighborhood_resumes_as_single_proposal() {
+        use crate::error::PlacementError;
+        let p = lopsided_problem();
+        let init = p.initial_placement().unwrap();
+        let sa = SimulatedAnnealing::new(SaConfig::paper_default().with_max_steps(8).with_seed(9));
+        let off = Obs::disabled();
+        let dir_full = ckpt_tmp_dir("legacy-full");
+        let dir_cut = ckpt_tmp_dir("legacy-cut");
         let full_store = chainnet_ckpt::CkptStore::open(&dir_full, "sa", SA_CKPT_SCHEMA).unwrap();
-        let mut ev_full = SimEvaluator::new(SimConfig::new(500.0, 13));
+        let mut ev_full = SimEvaluator::new(SimConfig::new(500.0, 19));
         let full = sa
-            .optimize_checkpointed(&p, &init, &mut ev_full, 1, &full_store, 2, false)
+            .optimize_checkpointed_observed(
+                &p,
+                &init,
+                &mut ev_full,
+                2,
+                1,
+                &full_store,
+                3,
+                false,
+                &off,
+            )
             .unwrap();
 
+        // Keep checkpoints 1..=2 (mid-trial 0) and strip the field from
+        // the newest, re-sealing it in a valid envelope.
         let cut_store = chainnet_ckpt::CkptStore::open(&dir_cut, "sa", SA_CKPT_SCHEMA).unwrap();
-        copy_ckpt_prefix(&full_store, &cut_store, 3);
-        // Flip one payload bit in the newest surviving checkpoint.
-        let newest = cut_store.path_of(3);
-        let mut bytes = std::fs::read(&newest).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        std::fs::write(&newest, &bytes).unwrap();
-
-        let mut ev_cut = SimEvaluator::new(SimConfig::new(500.0, 13));
-        let resumed = sa
-            .optimize_checkpointed(&p, &init, &mut ev_cut, 1, &cut_store, 2, true)
+        copy_ckpt_prefix(&full_store, &cut_store, 2);
+        let bytes = std::fs::read(cut_store.path_of(2)).unwrap();
+        let (_, payload) = chainnet_ckpt::decode(&bytes).unwrap();
+        let payload = std::str::from_utf8(payload).unwrap();
+        assert!(payload.contains(r#""neighborhood":1,"#));
+        let legacy = payload.replace(r#""neighborhood":1,"#, "");
+        cut_store.save(2, legacy.as_bytes()).unwrap();
+        let (_, decoded) = cut_store
+            .load_latest_state::<SaCheckpoint>()
+            .unwrap()
             .unwrap();
-        // The corrupt file was quarantined and the run fell back to
-        // checkpoint 2 — still landing on the identical result.
+        assert_eq!(decoded.neighborhood, 0);
+
+        let mut ev = SimEvaluator::new(SimConfig::new(500.0, 19));
+        let err = sa
+            .optimize_checkpointed_observed(&p, &init, &mut ev, 2, 4, &cut_store, 3, true, &off)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            PlacementError::Checkpoint(chainnet_ckpt::CkptError::ResumeMismatch { .. })
+        ));
+        let mut ev_cut = SimEvaluator::new(SimConfig::new(500.0, 19));
+        let resumed = sa
+            .optimize_checkpointed_observed(&p, &init, &mut ev_cut, 2, 1, &cut_store, 3, true, &off)
+            .unwrap();
         assert_eq!(strip_time(full), strip_time(resumed));
-        let quarantined = dir_cut.join("sa-00000003.ckpt.corrupt");
-        assert!(quarantined.exists(), "corrupt checkpoint not quarantined");
         let _ = std::fs::remove_dir_all(&dir_full);
         let _ = std::fs::remove_dir_all(&dir_cut);
     }
@@ -1738,13 +1717,33 @@ mod tests {
         let store = chainnet_ckpt::CkptStore::open(&dir, "sa", SA_CKPT_SCHEMA).unwrap();
         let mut ev1 = SimEvaluator::new(SimConfig::new(500.0, 17));
         let first = sa
-            .optimize_checkpointed(&p, &init, &mut ev1, 2, &store, 4, false)
+            .optimize_checkpointed_observed(
+                &p,
+                &init,
+                &mut ev1,
+                2,
+                1,
+                &store,
+                4,
+                false,
+                &Obs::disabled(),
+            )
             .unwrap();
         // No work left: the resumed run restores the stored result
         // without consuming a single evaluation.
         let mut ev2 = SimEvaluator::new(SimConfig::new(500.0, 17));
         let resumed = sa
-            .optimize_checkpointed(&p, &init, &mut ev2, 2, &store, 4, true)
+            .optimize_checkpointed_observed(
+                &p,
+                &init,
+                &mut ev2,
+                2,
+                1,
+                &store,
+                4,
+                true,
+                &Obs::disabled(),
+            )
             .unwrap();
         assert_eq!(ev2.evaluations(), 0);
         assert_eq!(first.evaluations, resumed.evaluations);
@@ -1764,7 +1763,17 @@ mod tests {
         let store = chainnet_ckpt::CkptStore::open(&dir, "sa", SA_CKPT_SCHEMA).unwrap();
         let mut ev = SimEvaluator::new(SimConfig::new(200.0, 1));
         let err = sa
-            .optimize_checkpointed(&p, &init, &mut ev, 1, &store, 0, false)
+            .optimize_checkpointed_observed(
+                &p,
+                &init,
+                &mut ev,
+                1,
+                1,
+                &store,
+                0,
+                false,
+                &Obs::disabled(),
+            )
             .unwrap_err();
         assert_eq!(
             err,
@@ -1783,7 +1792,17 @@ mod tests {
         let store = chainnet_ckpt::CkptStore::open(&dir, "sa", SA_CKPT_SCHEMA).unwrap();
         let mut ev = SimEvaluator::new(SimConfig::new(200.0, 1));
         let err = sa
-            .optimize_checkpointed(&p, &init, &mut ev, 1, &store, 5, true)
+            .optimize_checkpointed_observed(
+                &p,
+                &init,
+                &mut ev,
+                1,
+                1,
+                &store,
+                5,
+                true,
+                &Obs::disabled(),
+            )
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1797,25 +1816,33 @@ mod tests {
         use crate::error::PlacementError;
         let p = lopsided_problem();
         let init = p.initial_placement().unwrap();
-        let dir = ckpt_tmp_dir("mismatch");
-        let store = chainnet_ckpt::CkptStore::open(&dir, "sa", SA_CKPT_SCHEMA).unwrap();
         let sa = SimulatedAnnealing::new(SaConfig::paper_default().with_max_steps(6).with_seed(1));
-        let mut ev = SimEvaluator::new(SimConfig::new(200.0, 2));
-        sa.optimize_checkpointed(&p, &init, &mut ev, 1, &store, 3, false)
-            .unwrap();
-        // Same store, different seed: resuming would silently change
-        // the trajectory, so it must be refused.
         let other =
             SimulatedAnnealing::new(SaConfig::paper_default().with_max_steps(6).with_seed(2));
-        let mut ev2 = SimEvaluator::new(SimConfig::new(200.0, 2));
-        let err = other
-            .optimize_checkpointed(&p, &init, &mut ev2, 1, &store, 3, true)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            PlacementError::Checkpoint(chainnet_ckpt::CkptError::ResumeMismatch { .. })
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let off = Obs::disabled();
+        for k in [1, 4] {
+            let dir = ckpt_tmp_dir(&format!("mismatch-k{k}"));
+            let store = chainnet_ckpt::CkptStore::open(&dir, "sa", SA_CKPT_SCHEMA).unwrap();
+            let mut ev = SimEvaluator::new(SimConfig::new(200.0, 2));
+            sa.optimize_checkpointed_observed(&p, &init, &mut ev, 1, k, &store, 3, false, &off)
+                .unwrap();
+            // Same store, different seed, or same seed and a different
+            // neighborhood size: resuming would silently change the
+            // trajectory, so it must be refused.
+            for (driver, resume_k) in [(&other, k), (&sa, 5 - k)] {
+                let mut ev2 = SimEvaluator::new(SimConfig::new(200.0, 2));
+                let err = driver
+                    .optimize_checkpointed_observed(
+                        &p, &init, &mut ev2, 1, resume_k, &store, 3, true, &off,
+                    )
+                    .unwrap_err();
+                assert!(matches!(
+                    err,
+                    PlacementError::Checkpoint(chainnet_ckpt::CkptError::ResumeMismatch { .. })
+                ));
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1824,7 +1851,7 @@ mod tests {
         let bad = Placement::new(vec![vec![0, 1]]);
         let mut ev = SimEvaluator::new(SimConfig::new(1_000.0, 3));
         let sa = SimulatedAnnealing::new(SaConfig::paper_default().with_max_steps(15).with_seed(4));
-        let res = sa.optimize_neighborhood(&p, &bad, &mut ev, 1, 4);
+        let res = sa.optimize_neighborhood_observed(&p, &bad, &mut ev, 1, 4, &Obs::disabled());
         assert!(res.best_objective > res.initial_objective);
         assert!(p.is_feasible(&res.best_placement));
         assert_eq!(res.trials[0].steps.len(), 15);
@@ -1837,8 +1864,8 @@ mod tests {
         let sa = SimulatedAnnealing::new(SaConfig::paper_default().with_max_steps(10).with_seed(2));
         let mut ev1 = SimEvaluator::new(SimConfig::new(500.0, 8));
         let mut ev2 = SimEvaluator::new(SimConfig::new(500.0, 8));
-        let a = sa.optimize_neighborhood(&p, &init, &mut ev1, 2, 3);
-        let b = sa.optimize_neighborhood(&p, &init, &mut ev2, 2, 3);
+        let a = sa.optimize_neighborhood_observed(&p, &init, &mut ev1, 2, 3, &Obs::disabled());
+        let b = sa.optimize_neighborhood_observed(&p, &init, &mut ev2, 2, 3, &Obs::disabled());
         assert_eq!(a.best_placement, b.best_placement);
         assert_eq!(a.best_objective, b.best_objective);
         assert_eq!(a.evaluations, b.evaluations);
@@ -1879,8 +1906,9 @@ mod tests {
         let sa = SimulatedAnnealing::new(SaConfig::paper_default().with_max_steps(12).with_seed(6));
         let mut batched = GnnEvaluator::new(net.clone());
         let mut sequential = SequentialOnly(GnnEvaluator::new(net));
-        let a = sa.optimize_neighborhood(&p, &init, &mut batched, 2, 4);
-        let b = sa.optimize_neighborhood(&p, &init, &mut sequential, 2, 4);
+        let a = sa.optimize_neighborhood_observed(&p, &init, &mut batched, 2, 4, &Obs::disabled());
+        let b =
+            sa.optimize_neighborhood_observed(&p, &init, &mut sequential, 2, 4, &Obs::disabled());
         assert_eq!(a.best_placement, b.best_placement);
         assert_eq!(a.best_objective.to_bits(), b.best_objective.to_bits());
         assert_eq!(a.evaluations, b.evaluations);
@@ -1901,15 +1929,10 @@ mod tests {
         let init = p.initial_placement().unwrap();
         let mut ev = SimEvaluator::new(SimConfig::new(500.0, 9));
         let sa = SimulatedAnnealing::new(SaConfig::paper_default().with_max_steps(8));
-        let obs = Obs::enabled();
+        let (obs, events) = full_obs();
         let res = sa.optimize_neighborhood_observed(&p, &init, &mut ev, 2, 3, &obs);
-        let snap = obs.registry.snapshot();
-        assert_eq!(snap.counters["sa.trials"], 2);
-        // One batch call per step that produced at least one proposal.
-        let batches = snap.counters["sa.batch_evals"];
-        assert!((1..=16).contains(&batches), "batches {batches}");
-        assert_eq!(snap.counters["sa.evaluations"], res.evaluations);
-        assert_eq!(snap.gauges["sa.best_objective"], res.best_objective);
+        assert_eq!(obs.registry.snapshot().counters["sa.proposals"], 16);
+        assert_sa_signal_set(&obs, &events, &res, sa.config());
     }
 
     #[test]

@@ -94,7 +94,17 @@ fn ckpt_smoke(dir: &std::path::Path, resume: bool) -> Result<(), Box<dyn std::er
     let sa = SimulatedAnnealing::new(SaConfig::paper_default().with_max_steps(300).with_seed(5));
     let store = CkptStore::open(dir, "sa", SA_CKPT_SCHEMA)?;
     let mut ev = SimEvaluator::new(SimConfig::new(20_000.0, 7));
-    let result = sa.optimize_checkpointed(&problem, &initial, &mut ev, 2, &store, 5, resume)?;
+    let result = sa.optimize_checkpointed_observed(
+        &problem,
+        &initial,
+        &mut ev,
+        2,
+        1,
+        &store,
+        5,
+        resume,
+        &Obs::disabled(),
+    )?;
     println!(
         "smoke: objective_bits={:016x} evaluations={} placement={}",
         result.best_objective.to_bits(),
@@ -202,7 +212,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sa = SimulatedAnnealing::new(SaConfig::paper_default().with_max_steps(60).with_seed(5));
     let full_store = CkptStore::open(base.join("full"), "sa", SA_CKPT_SCHEMA)?;
     let mut ev = SimEvaluator::new(SimConfig::new(1_000.0, 7));
-    let full = sa.optimize_checkpointed(&problem, &initial, &mut ev, 2, &full_store, 8, false)?;
+    let full = sa.optimize_checkpointed_observed(
+        &problem,
+        &initial,
+        &mut ev,
+        2,
+        1,
+        &full_store,
+        8,
+        false,
+        &Obs::disabled(),
+    )?;
     // Simulate a crash: only the two earliest checkpoints survive, then
     // a fresh process resumes from what is left on disk.
     let cut_store = CkptStore::open(base.join("cut"), "sa", SA_CKPT_SCHEMA)?;
@@ -211,7 +231,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::fs::copy(full_store.path_of(seq), cut_store.path_of(seq))?;
     }
     let mut ev = SimEvaluator::new(SimConfig::new(1_000.0, 7));
-    let resumed = sa.optimize_checkpointed(&problem, &initial, &mut ev, 2, &cut_store, 8, true)?;
+    let resumed = sa.optimize_checkpointed_observed(
+        &problem,
+        &initial,
+        &mut ev,
+        2,
+        1,
+        &cut_store,
+        8,
+        true,
+        &Obs::disabled(),
+    )?;
     assert_eq!(full.best_placement, resumed.best_placement);
     assert_eq!(
         full.best_objective.to_bits(),

@@ -26,9 +26,9 @@ use chainnet_datagen::error::DatagenError;
 use chainnet_datagen::typesets::NetworkParams;
 use chainnet_obs::{EventLog, Obs, Tracer};
 use chainnet_placement::error::PlacementError;
-use chainnet_placement::evaluator::{loss_probability, Evaluator, GnnEvaluator, SimEvaluator};
+use chainnet_placement::evaluator::{loss_probability, BatchEvaluator, GnnEvaluator, SimEvaluator};
 use chainnet_placement::problem::PlacementProblem;
-use chainnet_placement::sa::{SaConfig, SaResult, SimulatedAnnealing, SA_CKPT_SCHEMA};
+use chainnet_placement::sa::{SaConfig, SimulatedAnnealing, SA_CKPT_SCHEMA};
 use chainnet_qsim::faults::FaultSchedule;
 use chainnet_qsim::model::SystemModel;
 use chainnet_qsim::sim::{SimConfig, Simulator};
@@ -281,8 +281,8 @@ COMMANDS:
   optimize     --problem p.json [--model model.json] [--steps 100]
                [--trials 5] [--horizon 2000] [--seed 0] [--out placement.json]
                [--neighborhood K]  score K candidates per SA step in one
-                                   batched evaluator call (incompatible
-                                   with --checkpoint-dir)
+                                   batched evaluator call (default 1, the
+                                   paper's single-proposal search)
   stats        --data d.json
   evaluate     --model model.json --data d.json
   export-dot   --system s.json [--out graph.dot]
@@ -745,34 +745,8 @@ fn cmd_stats(inv: &Invocation) -> Result<String, CliError> {
     Ok(chainnet_datagen::stats::render_stats(&stats))
 }
 
-/// Run the SA search with or without checkpointing, depending on
-/// whether `--checkpoint-dir` was given.
-fn run_sa(
-    sa: &SimulatedAnnealing,
-    problem: &PlacementProblem,
-    initial: &chainnet_qsim::model::Placement,
-    ev: &mut dyn Evaluator,
-    trials: usize,
-    ckpt: &Option<(CkptStore, usize, bool)>,
-    obs: &Obs,
-) -> Result<SaResult, CliError> {
-    match ckpt {
-        Some((store, every, resume)) => Ok(sa.optimize_checkpointed_observed(
-            problem, initial, ev, trials, store, *every, *resume, obs,
-        )?),
-        None => Ok(sa.optimize_observed(problem, initial, ev, trials, obs)),
-    }
-}
-
 fn cmd_optimize(inv: &Invocation) -> Result<String, CliError> {
-    let neighborhood = opt_usize(inv, "neighborhood", 0)?;
-    if neighborhood > 0 && inv.options.contains_key("checkpoint-dir") {
-        return Err(CliError::Usage(
-            "--neighborhood is incompatible with --checkpoint-dir: the \
-             batched neighborhood driver has no checkpoint schema"
-                .to_string(),
-        ));
-    }
+    let neighborhood = opt_usize(inv, "neighborhood", 1)?;
     let problem: PlacementProblem = read_json(required(inv, "problem")?)?;
     let steps = opt_usize(inv, "steps", 100)?;
     let trials = opt_usize(inv, "trials", 5)?;
@@ -787,38 +761,30 @@ fn cmd_optimize(inv: &Invocation) -> Result<String, CliError> {
     let obs = build_obs(inv)?;
     register_cancel_signals(&obs);
     let ckpt = checkpoint_options(inv, "sa", SA_CKPT_SCHEMA, 10, &obs)?;
-    let result = match inv.options.get("model") {
-        Some(path) => {
-            let model: ChainNet = read_json(path)?;
-            let mut ev = GnnEvaluator::new(model);
-            if neighborhood > 0 {
-                sa.optimize_neighborhood_observed(
-                    &problem,
-                    &initial,
-                    &mut ev,
-                    trials,
-                    neighborhood,
-                    &obs,
-                )
-            } else {
-                run_sa(&sa, &problem, &initial, &mut ev, trials, &ckpt, &obs)?
-            }
-        }
-        None => {
-            let mut ev = SimEvaluator::new(SimConfig::new(horizon, seed));
-            if neighborhood > 0 {
-                sa.optimize_neighborhood_observed(
-                    &problem,
-                    &initial,
-                    &mut ev,
-                    trials,
-                    neighborhood,
-                    &obs,
-                )
-            } else {
-                run_sa(&sa, &problem, &initial, &mut ev, trials, &ckpt, &obs)?
-            }
-        }
+    let mut ev: Box<dyn BatchEvaluator> = match inv.options.get("model") {
+        Some(path) => Box::new(GnnEvaluator::new(read_json::<ChainNet>(path)?)),
+        None => Box::new(SimEvaluator::new(SimConfig::new(horizon, seed))),
+    };
+    let result = match &ckpt {
+        Some((store, every, resume)) => sa.optimize_checkpointed_observed(
+            &problem,
+            &initial,
+            ev.as_mut(),
+            trials,
+            neighborhood,
+            store,
+            *every,
+            *resume,
+            &obs,
+        )?,
+        None => sa.optimize_neighborhood_observed(
+            &problem,
+            &initial,
+            ev.as_mut(),
+            trials,
+            neighborhood,
+            &obs,
+        ),
     };
     if matches!(
         result.termination_reason,
@@ -1566,25 +1532,6 @@ mod tests {
         for p in [&sys_path, &folded_path, &spans_path] {
             let _ = std::fs::remove_file(p);
         }
-    }
-
-    #[test]
-    fn optimize_neighborhood_rejects_checkpointing() {
-        let err = run(&parse_args(&args(&[
-            "optimize",
-            "--problem",
-            "p.json",
-            "--neighborhood",
-            "4",
-            "--checkpoint-dir",
-            "ck",
-        ]))
-        .unwrap())
-        .unwrap_err();
-        let CliError::Usage(text) = err else {
-            panic!("expected usage error")
-        };
-        assert!(text.contains("--neighborhood"));
     }
 
     /// Fresh, empty directory for checkpoint tests (removed by callers).

@@ -3,6 +3,7 @@
 //! check the final artifact is byte-identical to an uninterrupted run;
 //! corrupt a checkpoint on disk and watch resume quarantine it and fall
 //! back; check the documented exit codes for checkpoint flag misuse.
+//! Covers `train` and the neighborhood `optimize` search.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -219,6 +220,104 @@ fn sigkill_mid_train_then_resume_is_bit_identical() {
     );
 
     for p in [&data, &ref_model, &kill_model] {
+        let _ = std::fs::remove_file(p);
+    }
+    for d in [&ref_dir, &kill_dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// The shared checkpointed neighborhood-search `optimize` invocation.
+fn optimize_cmd(problem: &Path, out: &Path, ckpt_dir: &Path, resume: bool) -> Command {
+    let mut cmd = bin();
+    cmd.args([
+        "optimize",
+        "--problem",
+        problem.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+        "--steps",
+        "30",
+        "--trials",
+        "2",
+        "--horizon",
+        "400",
+        "--seed",
+        "3",
+        "--neighborhood",
+        "4",
+        "--checkpoint-dir",
+        ckpt_dir.to_str().unwrap(),
+        "--checkpoint-every",
+        "2",
+    ]);
+    if resume {
+        cmd.arg("--resume");
+    }
+    cmd
+}
+
+#[cfg(unix)]
+#[test]
+fn sigkill_mid_neighborhood_optimize_then_resume_is_bit_identical() {
+    let problem = temp("nbhd_problem.json");
+    let out = bin()
+        .args(["case-study", "--out", problem.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+
+    // Uninterrupted reference run.
+    let ref_dir = temp_dir("nbhd_ref");
+    let ref_out = temp("nbhd_ref_placement.json");
+    let out = optimize_cmd(&problem, &ref_out, &ref_dir, false)
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // Killed run: SIGKILL once the first checkpoint has landed. If the
+    // run wins the race and finishes first, the resume below still has
+    // to reproduce the identical placement from its final checkpoint.
+    let kill_dir = temp_dir("nbhd_victim");
+    let kill_out = temp("nbhd_victim_placement.json");
+    let _ = std::fs::remove_file(&kill_out);
+    let mut child = optimize_cmd(&problem, &kill_out, &kill_dir, false)
+        .spawn()
+        .expect("spawn");
+    let first = kill_dir.join("sa-00000001.ckpt");
+    for _ in 0..1000 {
+        if first.exists() {
+            break;
+        }
+        if let Ok(Some(_)) = child.try_wait() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let _ = child.kill(); // SIGKILL
+    let _ = child.wait();
+    assert!(first.exists(), "no checkpoint was written before the kill");
+
+    // Resume in a fresh process and compare the placement byte for byte.
+    let out = optimize_cmd(&problem, &kill_out, &kill_dir, true)
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        std::fs::read(&ref_out).unwrap(),
+        std::fs::read(&kill_out).unwrap(),
+        "resumed placement differs from the uninterrupted reference"
+    );
+
+    for p in [&problem, &ref_out, &kill_out] {
         let _ = std::fs::remove_file(p);
     }
     for d in [&ref_dir, &kill_dir] {
