@@ -1,9 +1,19 @@
 //! Mini-batch training loop implementing Eq. 13: joint MSE over predicted
 //! throughput and latency across all chains of a batch, with Adam and the
 //! Table IV step-decay learning-rate schedule.
+//!
+//! Every run goes through one epoch loop, [`Trainer::fit`]. What differs
+//! between runs is a parameter of that loop, not a separate entry point:
+//!
+//! * the **step kind** — [`PerGraph`] runs one tape pass per sample of
+//!   any [`Surrogate`] in `f64`; [`Packed`] packs each mini-batch of a
+//!   [`ChainNet`] into one padded [`GraphBatch`] tape pass in `f32` or
+//!   `f64`;
+//! * the optional **divergence guard** ([`TrainPlan::guard`]);
+//! * the optional **checkpoint sink** ([`TrainPlan::checkpoint`]).
 
 use crate::config::TrainConfig;
-use crate::data::LabeledGraph;
+use crate::data::{ChainTargets, LabeledGraph};
 use crate::graph::PlacementGraph;
 use crate::graph_batch::GraphBatch;
 use crate::metrics::ApeCollector;
@@ -19,8 +29,8 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Schema version written by [`Trainer::train_checkpointed`]. Bump on
-/// any change to [`TrainCheckpoint`]'s layout.
+/// Schema version of [`TrainCheckpoint`] payloads. Bump on any change
+/// to its layout that older payloads cannot be read into.
 pub const TRAIN_CKPT_SCHEMA: u32 = 1;
 
 /// Bucket bounds for the `train.epoch_seconds` histogram (seconds).
@@ -41,11 +51,12 @@ struct EpochEvent {
     wall_seconds: f64,
 }
 
-/// Divergence-guard settings for [`Trainer::train_guarded`].
+/// Divergence-guard settings ([`TrainPlan::guard`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GuardConfig {
     /// Clip the concatenated gradient to this L2 norm before each
-    /// optimizer step. Non-positive or infinite values disable clipping.
+    /// optimizer step. Non-positive or non-finite values disable
+    /// clipping.
     pub max_grad_norm: f64,
     /// Abort with [`TrainError::Diverged`] after this many *consecutive*
     /// epochs trip the guard (a clean epoch resets the count).
@@ -61,7 +72,46 @@ impl Default for GuardConfig {
     }
 }
 
-/// Typed failure of a guarded training run.
+/// Where and how often a run checkpoints ([`TrainPlan::checkpoint`]).
+#[derive(Debug, Clone, Copy)]
+pub struct CheckpointPlan<'a> {
+    /// Durable store the [`TrainCheckpoint`]s are written through.
+    pub store: &'a CkptStore,
+    /// Save after every `every`-th epoch (and always after the last).
+    /// Zero is [`CkptError::InvalidCadence`].
+    pub every: usize,
+    /// Restart from the most recent verified checkpoint in `store`
+    /// instead of epoch 0.
+    pub resume: bool,
+}
+
+/// The options of one training run; the default is a plain run with no
+/// guard and no checkpoints.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TrainPlan<'a> {
+    /// Divergence guard. Before every optimizer step the batch loss,
+    /// the accumulated gradients and — after the step — the parameters
+    /// are checked for NaN/inf, and gradients are clipped to
+    /// `max_grad_norm` (L2). A failed check *trips* the guard: the epoch
+    /// is abandoned, the parameters roll back to the snapshot taken
+    /// after the last clean epoch (or the initial weights), the Adam
+    /// moments restart, and `train.divergence_trips` counts the trip.
+    /// After `max_trips` consecutive trips the run stops with
+    /// [`TrainError::Diverged`]. Tripped epochs add no [`EpochStats`].
+    ///
+    /// `None` skips every check, the clip and the snapshot.
+    pub guard: Option<GuardConfig>,
+    /// Crash-safe checkpoints. The complete resumable state —
+    /// parameters, Adam moments, RNG state, shuffle permutation, guard
+    /// counters, history — is written as a [`TrainCheckpoint`] at the
+    /// cadence, after clean and rolled-back epochs alike, and once more
+    /// at the epoch boundary where a cancelled run stops. Resuming
+    /// produces **bit-identical** parameters and history to an
+    /// uninterrupted run.
+    pub checkpoint: Option<CheckpointPlan<'a>>,
+}
+
+/// Typed failure of a training run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TrainError {
@@ -100,33 +150,58 @@ impl std::fmt::Display for TrainError {
     }
 }
 
-/// Complete resumable state of a (guarded) training run, written after
-/// clean epochs and after rolled-back (tripped) epochs at the
-/// configured cadence. Restoring every field — including the shuffle
-/// permutation and the raw RNG state — is what makes a killed-and-
-/// resumed run bit-identical to an uninterrupted one.
+impl std::error::Error for TrainError {}
+
+/// The step kind a [`TrainCheckpoint`] was written by. A checkpoint only
+/// resumes a run of the same kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum StepKind {
+    /// [`PerGraph`] (`f64`).
+    PerGraph,
+    /// [`Packed<f32>`].
+    PackedF32,
+    /// [`Packed<f64>`].
+    PackedF64,
+}
+
+/// Payloads written before step kinds existed came from per-graph runs.
+impl Default for StepKind {
+    fn default() -> Self {
+        Self::PerGraph
+    }
+}
+
+/// Complete resumable state of a training run, in the step's dtype `Sc`.
+/// Restoring every field — including the shuffle permutation and the raw
+/// RNG state — is what makes a killed-and-resumed run bit-identical to
+/// an uninterrupted one. `f32` stores survive the JSON payload exactly:
+/// each value widens to `f64` and casts back to the same `f32`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TrainCheckpoint {
+pub struct TrainCheckpoint<Sc: Scalar = f64> {
+    /// Step kind of the run (validated on resume).
+    #[serde(default)]
+    pub step: StepKind,
     /// Trainer configuration the run was started with (validated on
     /// resume).
     pub config: TrainConfig,
     /// Guard configuration the run was started with (validated on
     /// resume).
-    pub guard: GuardConfig,
+    pub guard: Option<GuardConfig>,
     /// Number of training samples (validated on resume).
     pub num_samples: usize,
     /// First epoch still to run.
     pub epoch_next: usize,
-    /// Model parameters after the last completed epoch.
-    pub params: ParamStore,
+    /// The step's parameters after the last completed epoch.
+    pub params: ParamStore<Sc>,
     /// Adam moment estimates and step counter.
-    pub adam: Adam,
+    pub adam: Adam<Sc>,
     /// Raw xoshiro256++ state of the shuffle RNG.
     pub rng: [u64; 4],
     /// The sample permutation (shuffled cumulatively in place).
     pub order: Vec<usize>,
-    /// Divergence-guard rollback target (last known-good parameters).
-    pub last_good: ParamStore,
+    /// Divergence-guard rollback target (last known-good parameters);
+    /// `None` for unguarded runs.
+    pub last_good: Option<ParamStore<Sc>>,
     /// Consecutive tripped epochs so far.
     pub consecutive_trips: usize,
     /// Total tripped epochs over the whole run.
@@ -134,8 +209,6 @@ pub struct TrainCheckpoint {
     /// Per-epoch history accumulated so far.
     pub history: TrainReport,
 }
-
-impl std::error::Error for TrainError {}
 
 /// Loss values recorded after one epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -174,6 +247,254 @@ impl TrainReport {
     /// The final validation loss.
     pub fn final_val_loss(&self) -> Option<f64> {
         self.history.last().and_then(|e| e.val_loss)
+    }
+}
+
+mod step {
+    use super::*;
+
+    /// One kind of optimizer step: how a mini-batch becomes gradients in
+    /// a parameter store the epoch loop can update, check and roll back.
+    pub trait TrainStep {
+        /// Dtype of the store the loop updates.
+        type Sc: Scalar;
+        /// Tag recorded in checkpoints.
+        const KIND: StepKind;
+        /// The parameters the optimizer updates.
+        fn store(&mut self) -> &mut ParamStore<Self::Sc>;
+        /// Forward and backward the samples `chunk` of `data` on `tape`,
+        /// scaled by `1/(2Q)`, accumulating gradients into
+        /// [`TrainStep::store`] and each raw loss into `loss` (in sample
+        /// order). Returns `Q`, or `None` as soon as a loss is non-finite
+        /// when `guarded`.
+        fn batch(
+            &mut self,
+            tape: &mut Tape<Self::Sc>,
+            data: &[LabeledGraph],
+            chunk: &[usize],
+            obs: &Obs,
+            guarded: bool,
+            loss: &mut f64,
+        ) -> Option<usize>;
+        /// Make the model's own weights current (before validation and
+        /// when the run ends).
+        fn sync(&mut self);
+        /// The model, for [`Trainer::evaluate_loss`] after a sync.
+        fn model(&self) -> &dyn Surrogate;
+    }
+}
+use step::TrainStep;
+
+/// Step kind: one tape pass per sample, for any [`Surrogate`], in `f64`
+/// on the model's own parameter store.
+pub struct PerGraph<'m, S: Surrogate> {
+    model: &'m mut S,
+}
+
+impl<'m, S: Surrogate> PerGraph<'m, S> {
+    /// Train `model` one graph at a time.
+    pub fn new(model: &'m mut S) -> Self {
+        Self { model }
+    }
+}
+
+impl<S: Surrogate> TrainStep for PerGraph<'_, S> {
+    type Sc = f64;
+    const KIND: StepKind = StepKind::PerGraph;
+
+    fn store(&mut self) -> &mut ParamStore {
+        self.model.params_mut()
+    }
+
+    fn batch(
+        &mut self,
+        tape: &mut Tape,
+        data: &[LabeledGraph],
+        chunk: &[usize],
+        obs: &Obs,
+        guarded: bool,
+        loss: &mut f64,
+    ) -> Option<usize> {
+        // Q = number of chains in this batch (Eq. 13 denominator).
+        let q: usize = chunk.iter().map(|&i| data[i].graph.num_chains()).sum();
+        let scale = 1.0 / (2.0 * q.max(1) as f64);
+        for &i in chunk {
+            let sample = &data[i];
+            tape.reset();
+            let fwd_span = obs.tracer.span("neural.forward");
+            let raw = self
+                .model
+                .loss_on_graph(tape, &sample.graph, &sample.targets);
+            fwd_span.close();
+            let raw_value = tape.value(raw).item();
+            if guarded && !raw_value.is_finite() {
+                return None;
+            }
+            let scaled = tape.affine(raw, scale, 0.0);
+            tape.backward(scaled);
+            tape.accumulate_param_grads(self.model.params_mut());
+            *loss += raw_value;
+        }
+        Some(q)
+    }
+
+    fn sync(&mut self) {}
+
+    fn model(&self) -> &dyn Surrogate {
+        &*self.model
+    }
+}
+
+/// Step kind for [`ChainNet`]: every mini-batch is packed into one
+/// padded [`GraphBatch`] and runs as a *single* tape forward/backward
+/// ([`ChainNet::batched_loss`]) in dtype `Sc` (`f32` for SIMD-width
+/// throughput, `f64` to match the per-graph numerics), so a batch of `B`
+/// graphs costs a few `(B, ·)` matmuls instead of `B` tape passes.
+///
+/// The model's `f64` weights are cast into an `Sc` store once; they are
+/// written back before each validation pass and when the run ends. The
+/// per-epoch losses differ from [`PerGraph`] only by the documented
+/// latency-readout rounding (and single-precision rounding for `f32`).
+pub struct Packed<'m, Sc: Scalar> {
+    model: &'m mut ChainNet,
+    store: ParamStore<Sc>,
+}
+
+impl<'m, Sc: Scalar> Packed<'m, Sc> {
+    /// Train `model` one packed mini-batch at a time in dtype `Sc`.
+    pub fn new(model: &'m mut ChainNet) -> Self {
+        Self {
+            store: model.params().cast(),
+            model,
+        }
+    }
+}
+
+impl<Sc: Scalar> TrainStep for Packed<'_, Sc> {
+    type Sc = Sc;
+    // `Scalar` is implemented for `f32` and `f64` only.
+    const KIND: StepKind = if std::mem::size_of::<Sc>() == std::mem::size_of::<f32>() {
+        StepKind::PackedF32
+    } else {
+        StepKind::PackedF64
+    };
+
+    fn store(&mut self) -> &mut ParamStore<Sc> {
+        &mut self.store
+    }
+
+    fn batch(
+        &mut self,
+        tape: &mut Tape<Sc>,
+        data: &[LabeledGraph],
+        chunk: &[usize],
+        obs: &Obs,
+        guarded: bool,
+        loss: &mut f64,
+    ) -> Option<usize> {
+        let graphs: Vec<&PlacementGraph> = chunk.iter().map(|&i| &data[i].graph).collect();
+        let targets: Vec<&[ChainTargets]> =
+            chunk.iter().map(|&i| data[i].targets.as_slice()).collect();
+        let batch = GraphBatch::pack(&graphs, self.model.config().target_mode);
+        let targets = batch.pack_targets(&graphs, &targets);
+        // Q = number of real chains in this batch (Eq. 13).
+        let q = batch.total_chains();
+        let scale = 1.0 / (2.0 * q.max(1) as f64);
+        tape.reset();
+        let fwd_span = obs.tracer.span("neural.forward");
+        let raw = self.model.batched_loss(tape, &self.store, &batch, &targets);
+        fwd_span.close();
+        let raw_value = tape.value(raw).item().to_f64();
+        if guarded && !raw_value.is_finite() {
+            return None;
+        }
+        let scaled = tape.affine(raw, Sc::from_f64(scale), Sc::ZERO);
+        tape.backward(scaled);
+        tape.accumulate_param_grads(&mut self.store);
+        *loss += raw_value;
+        Some(q)
+    }
+
+    fn sync(&mut self) {
+        self.model.params_mut().assign_values_cast(&self.store);
+    }
+
+    fn model(&self) -> &dyn Surrogate {
+        &*self.model
+    }
+}
+
+/// What a checkpoint must agree on to resume a run.
+struct RunId {
+    step: StepKind,
+    config: TrainConfig,
+    guard: Option<GuardConfig>,
+    num_samples: usize,
+}
+
+impl RunId {
+    fn validate<Sc: Scalar>(&self, ck: &TrainCheckpoint<Sc>) -> Result<(), TrainError> {
+        let reason = if ck.step != self.step {
+            Some("step kind (--dtype) differs from the checkpointed run")
+        } else if ck.config != self.config {
+            Some("trainer configuration differs from the checkpointed run")
+        } else if ck.guard != self.guard {
+            Some("guard configuration differs from the checkpointed run")
+        } else if ck.num_samples != self.num_samples || ck.order.len() != self.num_samples {
+            Some("training-set size differs from the checkpointed run")
+        } else if ck.epoch_next > self.config.epochs {
+            Some("checkpoint is ahead of the configured epoch count")
+        } else {
+            None
+        };
+        match reason {
+            Some(r) => Err(TrainError::Checkpoint(CkptError::ResumeMismatch {
+                reason: r.to_string(),
+            })),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Everything the epoch loop carries between epochs besides the step's
+/// parameters — exactly what a checkpoint stores with them.
+struct LoopState<Sc: Scalar> {
+    adam: Adam<Sc>,
+    rng: SmallRng,
+    order: Vec<usize>,
+    last_good: Option<ParamStore<Sc>>,
+    consecutive_trips: usize,
+    total_trips: u64,
+    report: TrainReport,
+}
+
+impl<Sc: Scalar> LoopState<Sc> {
+    /// Write this state and `params` through `ck` as the checkpoint
+    /// before epoch `epoch_next`.
+    fn save(
+        &self,
+        ck: &CheckpointPlan<'_>,
+        id: &RunId,
+        epoch_next: usize,
+        params: &ParamStore<Sc>,
+    ) -> Result<(), TrainError> {
+        let state = TrainCheckpoint {
+            step: id.step,
+            config: id.config,
+            guard: id.guard,
+            num_samples: id.num_samples,
+            epoch_next,
+            params: params.clone(),
+            adam: self.adam.clone(),
+            rng: self.rng.state(),
+            order: self.order.clone(),
+            last_good: self.last_good.clone(),
+            consecutive_trips: self.consecutive_trips,
+            total_trips: self.total_trips,
+            history: self.report.clone(),
+        };
+        ck.store.save_state(epoch_next as u64, &state)?;
+        Ok(())
     }
 }
 
@@ -229,157 +550,31 @@ impl Trainer {
         collector
     }
 
-    /// Train `model` on `train`, optionally tracking a validation loss
-    /// each epoch (used by the ablation study's Fig. 13 curves).
+    /// Train `model` one graph at a time, optionally tracking a
+    /// validation loss each epoch (used by the ablation study's Fig. 13
+    /// curves). A plain [`Trainer::fit`] run of [`PerGraph`]; an empty
+    /// training set gives an empty history.
     pub fn train<S: Surrogate>(
         &self,
         model: &mut S,
         train: &[LabeledGraph],
         val: Option<&[LabeledGraph]>,
     ) -> TrainReport {
-        self.train_observed(model, train, val, &Obs::disabled())
+        // With no guard and no checkpoint the only failure is an empty
+        // training set.
+        self.fit(
+            PerGraph::new(model),
+            train,
+            val,
+            &TrainPlan::default(),
+            &Obs::disabled(),
+        )
+        .unwrap_or_default()
     }
 
-    /// Like [`Trainer::train`], additionally recording metrics and
-    /// per-epoch events into `obs` when it is enabled:
-    ///
-    /// * `train.epoch_seconds` histogram (RAII-timed wall clock per
-    ///   epoch) and `train.samples_per_sec` gauge;
-    /// * `train.loss` / `train.val_loss` gauges tracking the latest
-    ///   epoch;
-    /// * `train.grad_norm` histogram, observed after each mini-batch;
-    /// * `train.epochs` and `train.batches` counters.
-    ///
-    /// With a disabled `obs` this is exactly [`Trainer::train`].
-    pub fn train_observed<S: Surrogate>(
-        &self,
-        model: &mut S,
-        train: &[LabeledGraph],
-        val: Option<&[LabeledGraph]>,
-        obs: &Obs,
-    ) -> TrainReport {
-        assert!(!train.is_empty(), "training set is empty");
-        let grad_norm = obs
-            .is_enabled()
-            .then(|| obs.registry.histogram("train.grad_norm", GRAD_NORM_BUCKETS));
-        let cfg = self.config;
-        let mut adam = Adam::new(cfg.learning_rate);
-        let schedule = StepDecay {
-            lr0: cfg.learning_rate,
-            factor: cfg.lr_decay,
-            period: cfg.lr_decay_period,
-        };
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut report = TrainReport::default();
-        // One pooled tape reused across every sample of every epoch:
-        // Tape::reset recycles forward/gradient buffers, so steady-state
-        // training steps perform no tape allocations.
-        let mut tape = Tape::new();
-        tape.set_tracer(obs.tracer.clone());
-
-        for epoch in 0..cfg.epochs {
-            // Cooperative cancellation at the epoch boundary, mirroring
-            // the guarded/checkpointed path: the history so far is
-            // complete and `interrupted` records the early exit.
-            if obs.cancel.is_set() {
-                report.interrupted = true;
-                break;
-            }
-            let _epoch_span = obs.tracer.span("train.epoch");
-            let epoch_timer = obs.is_enabled().then(|| {
-                obs.registry
-                    .histogram("train.epoch_seconds", EPOCH_SECONDS_BUCKETS)
-                    .start_timer()
-            });
-            let lr = schedule.lr_at(epoch as u64);
-            adam.set_lr(lr);
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0;
-            let mut epoch_chains = 0usize;
-            let mut epoch_batches = 0u64;
-
-            for batch in order.chunks(cfg.batch_size.max(1)) {
-                let _step_span = obs.tracer.span("train.step");
-                // Q = number of chains in this batch (Eq. 13 denominator).
-                let q: usize = batch.iter().map(|&i| train[i].graph.num_chains()).sum();
-                let scale = 1.0 / (2.0 * q.max(1) as f64);
-                for &i in batch {
-                    let sample = &train[i];
-                    tape.reset();
-                    let fwd_span = obs.tracer.span("neural.forward");
-                    let raw = model.loss_on_graph(&mut tape, &sample.graph, &sample.targets);
-                    fwd_span.close();
-                    let scaled = tape.affine(raw, scale, 0.0);
-                    tape.backward(scaled);
-                    tape.accumulate_param_grads(model.params_mut());
-                    epoch_loss += tape.value(raw).item();
-                }
-                epoch_chains += q;
-                epoch_batches += 1;
-                if let Some(h) = &grad_norm {
-                    h.observe(model.params_mut().grad_norm());
-                }
-                adam.step(model.params_mut());
-            }
-
-            let train_loss = epoch_loss / (2.0 * epoch_chains.max(1) as f64);
-            let val_loss = val.map(|v| self.evaluate_loss(model, v));
-            if let Some(timer) = epoch_timer {
-                let wall = timer.elapsed_secs();
-                timer.stop();
-                let reg = &obs.registry;
-                reg.counter("train.epochs").inc();
-                reg.counter("train.batches").add(epoch_batches);
-                reg.gauge("train.samples_per_sec")
-                    .set(train.len() as f64 / wall.max(1e-9));
-                reg.gauge("train.loss").set(train_loss);
-                if let Some(v) = val_loss {
-                    reg.gauge("train.val_loss").set(v);
-                }
-                obs.events.emit(
-                    "train",
-                    &EpochEvent {
-                        kind: "epoch",
-                        epoch,
-                        train_loss,
-                        val_loss,
-                        lr,
-                        wall_seconds: wall,
-                    },
-                );
-            }
-            report.history.push(EpochStats {
-                epoch,
-                train_loss,
-                val_loss,
-                lr,
-            });
-        }
-        report
-    }
-
-    /// Batched counterpart of [`Trainer::train_observed`] for
-    /// [`ChainNet`], generic over the training dtype `Sc` (`f32` for
-    /// SIMD-width throughput, `f64` to match the sequential numerics):
-    /// every mini-batch is packed into one padded [`GraphBatch`] and
-    /// runs as a *single* tape forward/backward
-    /// ([`ChainNet::batched_loss`]), so a batch of `B` graphs costs a
-    /// few `(B, ·)` matmuls instead of `B` per-graph tape passes.
-    ///
-    /// The schedule, seed, shuffle order, chunking, and `1/(2Q)` loss
-    /// scale are identical to `train_observed`; the per-epoch losses
-    /// differ only by the documented latency-readout rounding (and by
-    /// single-precision rounding when `Sc = f32`). The model's `f64`
-    /// weights are cast into `Sc` once up front; they are written back
-    /// after every epoch when a validation set is supplied (so
-    /// [`Trainer::evaluate_loss`] sees current weights) and always after
-    /// the final epoch.
-    ///
-    /// Metrics mirror `train_observed` (`train.epoch_seconds`,
-    /// `train.samples_per_sec`, `train.loss`, `train.val_loss`,
-    /// `train.grad_norm`, `train.epochs`, `train.batches`), plus the
-    /// `train.batch_size` gauge recording the packed batch width.
+    /// Train `model` one packed mini-batch at a time in dtype `Sc`: a
+    /// plain [`Trainer::fit`] run of [`Packed`], recording into `obs`. An
+    /// empty training set gives an empty history.
     pub fn train_batched<Sc: Scalar>(
         &self,
         model: &mut ChainNet,
@@ -387,29 +582,151 @@ impl Trainer {
         val: Option<&[LabeledGraph]>,
         obs: &Obs,
     ) -> TrainReport {
-        assert!(!train.is_empty(), "training set is empty");
+        self.fit(
+            Packed::<Sc>::new(model),
+            train,
+            val,
+            &TrainPlan::default(),
+            obs,
+        )
+        .unwrap_or_default()
+    }
+
+    /// Train with `step` ([`PerGraph`] or [`Packed`]) under `plan`:
+    /// shuffle, step-decay learning rate and Adam over mini-batches of
+    /// `config.batch_size`, with the plan's optional divergence guard
+    /// and checkpoints, recording into `obs` when it is enabled:
+    ///
+    /// * `train.epoch` spans, one `train.step` span per mini-batch, and
+    ///   the step's `neural.forward` / `neural.backward` spans;
+    /// * `train.epoch_seconds` histogram (RAII-timed wall clock per
+    ///   epoch) and `train.samples_per_sec` gauge;
+    /// * `train.loss` / `train.val_loss` gauges tracking the latest
+    ///   epoch;
+    /// * `train.grad_norm` histogram, observed after each mini-batch
+    ///   (before clipping);
+    /// * `train.epochs` and `train.batches` counters, the
+    ///   `train.divergence_trips` counter, and for [`Packed`] the
+    ///   `train.batch_size` gauge;
+    /// * one `train` event per epoch.
+    ///
+    /// Instrumentation never changes the arithmetic, and neither does a
+    /// guard whose clip is disabled on a healthy run. The step's model
+    /// holds the final (or, after [`TrainError::Diverged`], the last
+    /// known-good) weights on return.
+    ///
+    /// # Errors
+    ///
+    /// [`TrainError::EmptyTrainingSet`]; [`TrainError::Diverged`] after
+    /// `guard.max_trips` consecutive tripped epochs;
+    /// [`TrainError::Checkpoint`] on cadence 0, save/load failures, a
+    /// missing checkpoint under `resume`, or a checkpoint recorded for
+    /// a different step kind, config, guard or dataset.
+    pub fn fit<T: TrainStep>(
+        &self,
+        mut step: T,
+        train: &[LabeledGraph],
+        val: Option<&[LabeledGraph]>,
+        plan: &TrainPlan<'_>,
+        obs: &Obs,
+    ) -> Result<TrainReport, TrainError> {
+        if train.is_empty() {
+            return Err(TrainError::EmptyTrainingSet);
+        }
+        let result = self.run(&mut step, train, val, plan, obs);
+        step.sync();
+        result
+    }
+
+    /// The epoch loop behind [`Trainer::fit`].
+    fn run<T: TrainStep>(
+        &self,
+        step: &mut T,
+        train: &[LabeledGraph],
+        val: Option<&[LabeledGraph]>,
+        plan: &TrainPlan<'_>,
+        obs: &Obs,
+    ) -> Result<TrainReport, TrainError> {
+        let cfg = self.config;
+        // A non-finite clip threshold disables clipping exactly as 0
+        // does, but a JSON checkpoint cannot represent it; normalize so
+        // the guard round-trips on resume.
+        let guard = plan.guard.map(|g| GuardConfig {
+            max_grad_norm: if g.max_grad_norm.is_finite() {
+                g.max_grad_norm
+            } else {
+                0.0
+            },
+            ..g
+        });
+        let guarded = guard.is_some();
+        let id = RunId {
+            step: T::KIND,
+            config: cfg,
+            guard,
+            num_samples: train.len(),
+        };
         let grad_norm = obs
             .is_enabled()
             .then(|| obs.registry.histogram("train.grad_norm", GRAD_NORM_BUCKETS));
-        let cfg = self.config;
-        let mut store: ParamStore<Sc> = model.params().cast();
-        let mut adam: Adam<Sc> = Adam::new(cfg.learning_rate);
         let schedule = StepDecay {
             lr0: cfg.learning_rate,
             factor: cfg.lr_decay,
             period: cfg.lr_decay_period,
         };
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut report = TrainReport::default();
-        let mut tape: Tape<Sc> = Tape::new();
+        let mut st = LoopState {
+            adam: Adam::new(cfg.learning_rate),
+            rng: SmallRng::seed_from_u64(cfg.seed),
+            order: (0..train.len()).collect(),
+            // Last known-good snapshot; the initial weights qualify.
+            last_good: guard.map(|_| step.store().clone()),
+            consecutive_trips: 0,
+            total_trips: 0,
+            report: TrainReport::default(),
+        };
+        // One pooled tape reused across every batch of every epoch:
+        // Tape::reset recycles forward/gradient buffers, so steady-state
+        // training steps perform no tape allocations.
+        let mut tape = Tape::new();
         tape.set_tracer(obs.tracer.clone());
-        let target_mode = model.config().target_mode;
+        let mut start_epoch = 0;
+        if let Some(ck) = &plan.checkpoint {
+            if ck.every == 0 {
+                return Err(TrainError::Checkpoint(CkptError::InvalidCadence));
+            }
+            if ck.resume {
+                let (_seq, saved) = ck.store.resume_latest_state::<TrainCheckpoint<T::Sc>>()?;
+                id.validate(&saved)?;
+                *step.store() = saved.params;
+                step.store().zero_grads();
+                st = LoopState {
+                    adam: saved.adam,
+                    rng: SmallRng::from_state(saved.rng),
+                    order: saved.order,
+                    last_good: saved.last_good,
+                    consecutive_trips: saved.consecutive_trips,
+                    total_trips: saved.total_trips,
+                    report: saved.history,
+                };
+                start_epoch = saved.epoch_next;
+            }
+        }
 
-        for epoch in 0..cfg.epochs {
+        for epoch in start_epoch..cfg.epochs {
+            // Cooperative cancellation at the epoch boundary. The state
+            // at the top of epoch `e` (pre-shuffle RNG, order) is
+            // bit-identical to the end-of-epoch `e-1` state, so the
+            // flushed checkpoint reuses sequence number `e` and a later
+            // resume replays the exact trajectory the uninterrupted run
+            // would have taken. The checkpointed history stays clean:
+            // `interrupted` describes this process's exit, not the state
+            // on disk.
             if obs.cancel.is_set() {
-                report.interrupted = true;
-                break;
+                if let Some(ck) = plan.checkpoint.as_ref().filter(|_| epoch > 0) {
+                    st.save(ck, &id, epoch, step.store())?;
+                }
+                st.report.interrupted = true;
+                return Ok(st.report);
             }
             let _epoch_span = obs.tracer.span("train.epoch");
             let epoch_timer = obs.is_enabled().then(|| {
@@ -418,461 +735,120 @@ impl Trainer {
                     .start_timer()
             });
             let lr = schedule.lr_at(epoch as u64);
-            adam.set_lr(lr);
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0;
-            let mut epoch_chains = 0usize;
-            let mut epoch_batches = 0u64;
-
-            for chunk in order.chunks(cfg.batch_size.max(1)) {
-                let _step_span = obs.tracer.span("train.step");
-                let graphs: Vec<&PlacementGraph> = chunk.iter().map(|&i| &train[i].graph).collect();
-                let targets: Vec<&[crate::data::ChainTargets]> =
-                    chunk.iter().map(|&i| train[i].targets.as_slice()).collect();
-                let batch = GraphBatch::pack(&graphs, target_mode);
-                let targets = batch.pack_targets(&graphs, &targets);
-                // Q = number of real chains in this batch (Eq. 13).
-                let scale = 1.0 / (2.0 * batch.total_chains().max(1) as f64);
-                tape.reset();
-                let fwd_span = obs.tracer.span("neural.forward");
-                let raw = model.batched_loss(&mut tape, &store, &batch, &targets);
-                fwd_span.close();
-                let scaled = tape.affine(raw, Sc::from_f64(scale), Sc::ZERO);
-                tape.backward(scaled);
-                tape.accumulate_param_grads(&mut store);
-                epoch_loss += tape.value(raw).item().to_f64();
-                epoch_chains += batch.total_chains();
-                epoch_batches += 1;
-                if let Some(h) = &grad_norm {
-                    h.observe(store.grad_norm());
-                }
-                adam.step(&mut store);
-            }
-
-            let train_loss = epoch_loss / (2.0 * epoch_chains.max(1) as f64);
-            let val_loss = val.map(|v| {
-                model.params_mut().assign_values_cast(&store);
-                self.evaluate_loss(model, v)
-            });
-            if let Some(timer) = epoch_timer {
-                let wall = timer.elapsed_secs();
-                timer.stop();
-                let reg = &obs.registry;
-                reg.counter("train.epochs").inc();
-                reg.counter("train.batches").add(epoch_batches);
-                reg.gauge("train.samples_per_sec")
-                    .set(train.len() as f64 / wall.max(1e-9));
-                reg.gauge("train.batch_size")
-                    .set(cfg.batch_size.max(1) as f64);
-                reg.gauge("train.loss").set(train_loss);
-                if let Some(v) = val_loss {
-                    reg.gauge("train.val_loss").set(v);
-                }
-                obs.events.emit(
-                    "train",
-                    &EpochEvent {
-                        kind: "epoch",
-                        epoch,
-                        train_loss,
-                        val_loss,
-                        lr,
-                        wall_seconds: wall,
-                    },
-                );
-            }
-            report.history.push(EpochStats {
-                epoch,
-                train_loss,
-                val_loss,
-                lr,
-            });
-        }
-        model.params_mut().assign_values_cast(&store);
-        report
-    }
-
-    /// Like [`Trainer::train`], but with a divergence guard: non-finite
-    /// losses, gradients, or parameters roll the model back to the last
-    /// known-good snapshot instead of silently corrupting it.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::Diverged`] after `guard.max_trips` consecutive
-    /// tripped epochs (the model is left on the last good parameters),
-    /// or [`TrainError::EmptyTrainingSet`].
-    pub fn train_guarded<S: Surrogate>(
-        &self,
-        model: &mut S,
-        train: &[LabeledGraph],
-        val: Option<&[LabeledGraph]>,
-        guard: &GuardConfig,
-    ) -> Result<TrainReport, TrainError> {
-        self.train_guarded_observed(model, train, val, guard, &Obs::disabled())
-    }
-
-    /// Observed variant of [`Trainer::train_guarded`].
-    ///
-    /// Each epoch runs the usual mini-batch loop, but before every
-    /// optimizer step the batch loss, the accumulated gradients, and —
-    /// after the step — the parameters themselves are checked for
-    /// NaN/inf. Gradients are clipped to `guard.max_grad_norm` (L2).
-    /// A failed check *trips* the guard: the epoch is abandoned, the
-    /// parameters are rolled back to the snapshot taken after the last
-    /// clean epoch (or the initial weights), the Adam moments are reset,
-    /// and the `train.divergence_trips` counter is incremented. After
-    /// `guard.max_trips` consecutive trips the run aborts with
-    /// [`TrainError::Diverged`]; a clean epoch resets the streak.
-    ///
-    /// Tripped epochs contribute no [`EpochStats`], so the report's
-    /// history may be shorter than `config.epochs`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Trainer::train_guarded`].
-    pub fn train_guarded_observed<S: Surrogate>(
-        &self,
-        model: &mut S,
-        train: &[LabeledGraph],
-        val: Option<&[LabeledGraph]>,
-        guard: &GuardConfig,
-        obs: &Obs,
-    ) -> Result<TrainReport, TrainError> {
-        self.run_guarded(model, train, val, guard, None, obs)
-    }
-
-    /// [`Trainer::train_checkpointed_observed`] without instrumentation.
-    ///
-    /// # Errors
-    ///
-    /// See [`Trainer::train_checkpointed_observed`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_checkpointed<S: Surrogate>(
-        &self,
-        model: &mut S,
-        train: &[LabeledGraph],
-        val: Option<&[LabeledGraph]>,
-        guard: &GuardConfig,
-        store: &CkptStore,
-        every: usize,
-        resume: bool,
-    ) -> Result<TrainReport, TrainError> {
-        self.train_checkpointed_observed(
-            model,
-            train,
-            val,
-            guard,
-            store,
-            every,
-            resume,
-            &Obs::disabled(),
-        )
-    }
-
-    /// Guarded training with crash-safe on-disk checkpoints.
-    ///
-    /// Every `every` epochs (and always after the final epoch) the
-    /// complete resumable state — parameters, Adam moments, RNG state,
-    /// shuffle permutation, guard counters, history — is written
-    /// durably through `store` as a [`TrainCheckpoint`]. Tripped
-    /// (rolled-back) epochs also checkpoint at the cadence, so the
-    /// divergence fallback is the on-disk last-good as well.
-    ///
-    /// With `resume` the run restarts from the most recent verified
-    /// checkpoint instead of epoch 0 and — because the workspace RNG
-    /// is deterministic — produces **bit-identical** final parameters
-    /// and history to an uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::Checkpoint`] on cadence 0, save/load failures, a
-    /// missing checkpoint under `resume`, or a checkpoint recorded for
-    /// a different config/dataset; otherwise as
-    /// [`Trainer::train_guarded`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_checkpointed_observed<S: Surrogate>(
-        &self,
-        model: &mut S,
-        train: &[LabeledGraph],
-        val: Option<&[LabeledGraph]>,
-        guard: &GuardConfig,
-        store: &CkptStore,
-        every: usize,
-        resume: bool,
-        obs: &Obs,
-    ) -> Result<TrainReport, TrainError> {
-        self.run_guarded(model, train, val, guard, Some((store, every, resume)), obs)
-    }
-
-    fn run_guarded<S: Surrogate>(
-        &self,
-        model: &mut S,
-        train: &[LabeledGraph],
-        val: Option<&[LabeledGraph]>,
-        guard: &GuardConfig,
-        ckpt: Option<(&CkptStore, usize, bool)>,
-        obs: &Obs,
-    ) -> Result<TrainReport, TrainError> {
-        if train.is_empty() {
-            return Err(TrainError::EmptyTrainingSet);
-        }
-        // An infinite clip threshold and a non-positive one both disable
-        // clipping, but the JSON checkpoint payload cannot represent
-        // non-finite floats; normalize so the guard round-trips on resume.
-        let normalized;
-        let guard = if ckpt.is_some() && !guard.max_grad_norm.is_finite() {
-            normalized = GuardConfig {
-                max_grad_norm: 0.0,
-                ..*guard
-            };
-            &normalized
-        } else {
-            guard
-        };
-        let grad_norm = obs
-            .is_enabled()
-            .then(|| obs.registry.histogram("train.grad_norm", GRAD_NORM_BUCKETS));
-        let cfg = self.config;
-        let mut adam = Adam::new(cfg.learning_rate);
-        let schedule = StepDecay {
-            lr0: cfg.learning_rate,
-            factor: cfg.lr_decay,
-            period: cfg.lr_decay_period,
-        };
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut report = TrainReport::default();
-
-        // Last known-good snapshot; the initial weights qualify.
-        let mut last_good = model.params().clone();
-        let mut consecutive_trips = 0usize;
-        let mut total_trips = 0u64;
-        let mut start_epoch = 0usize;
-
-        if let Some((store, every, resume)) = ckpt {
-            if every == 0 {
-                return Err(TrainError::Checkpoint(CkptError::InvalidCadence));
-            }
-            if resume {
-                let (_seq, ck) = store.resume_latest_state::<TrainCheckpoint>()?;
-                self.validate_checkpoint(&ck, guard, train.len())?;
-                *model.params_mut() = ck.params;
-                model.params_mut().zero_grads();
-                adam = ck.adam;
-                rng = SmallRng::from_state(ck.rng);
-                order = ck.order;
-                last_good = ck.last_good;
-                consecutive_trips = ck.consecutive_trips;
-                total_trips = ck.total_trips;
-                report = ck.history;
-                start_epoch = ck.epoch_next;
-            }
-        }
-
-        // One pooled tape reused across every sample of every epoch (see
-        // train_observed).
-        let mut tape = Tape::new();
-
-        for epoch in start_epoch..cfg.epochs {
-            // Cooperative cancellation: wind down at the epoch boundary.
-            // The state at the top of epoch `e` (pre-shuffle RNG, order)
-            // is bit-identical to the end-of-epoch `e-1` state, so the
-            // flushed checkpoint reuses sequence number `e` and a later
-            // `--resume` replays the exact trajectory the uninterrupted
-            // run would have taken.
-            if obs.cancel.is_set() {
-                // The checkpointed history stays clean: `interrupted`
-                // describes this process's exit, not the state on disk.
-                if let Some((store, _, _)) = ckpt {
-                    if epoch > 0 {
-                        let state = TrainCheckpoint {
-                            config: cfg,
-                            guard: *guard,
-                            num_samples: train.len(),
-                            epoch_next: epoch,
-                            params: model.params().clone(),
-                            adam: adam.clone(),
-                            rng: rng.state(),
-                            order: order.clone(),
-                            last_good: last_good.clone(),
-                            consecutive_trips,
-                            total_trips,
-                            history: report.clone(),
-                        };
-                        store.save_state(epoch as u64, &state)?;
-                    }
-                }
-                report.interrupted = true;
-                return Ok(report);
-            }
-            let epoch_timer = obs.is_enabled().then(|| {
-                obs.registry
-                    .histogram("train.epoch_seconds", EPOCH_SECONDS_BUCKETS)
-                    .start_timer()
-            });
-            let lr = schedule.lr_at(epoch as u64);
-            adam.set_lr(lr);
-            order.shuffle(&mut rng);
+            st.adam.set_lr(lr);
+            st.order.shuffle(&mut st.rng);
             let mut epoch_loss = 0.0;
             let mut epoch_chains = 0usize;
             let mut epoch_batches = 0u64;
             let mut tripped = false;
 
-            'batches: for batch in order.chunks(cfg.batch_size.max(1)) {
-                let q: usize = batch.iter().map(|&i| train[i].graph.num_chains()).sum();
-                let scale = 1.0 / (2.0 * q.max(1) as f64);
-                for &i in batch {
-                    let sample = &train[i];
-                    tape.reset();
-                    let raw = model.loss_on_graph(&mut tape, &sample.graph, &sample.targets);
-                    let raw_value = tape.value(raw).item();
-                    if !raw_value.is_finite() {
-                        tripped = true;
-                        break 'batches;
-                    }
-                    let scaled = tape.affine(raw, scale, 0.0);
-                    tape.backward(scaled);
-                    tape.accumulate_param_grads(model.params_mut());
-                    epoch_loss += raw_value;
-                }
+            for chunk in st.order.chunks(cfg.batch_size.max(1)) {
+                let _step_span = obs.tracer.span("train.step");
+                let Some(q) = step.batch(&mut tape, train, chunk, obs, guarded, &mut epoch_loss)
+                else {
+                    tripped = true;
+                    break;
+                };
                 epoch_chains += q;
                 epoch_batches += 1;
-                let pre_clip = model.params_mut().clip_grad_norm(guard.max_grad_norm);
-                if !pre_clip.is_finite() {
-                    tripped = true;
-                    break 'batches;
+                let store = step.store();
+                let norm = match &guard {
+                    Some(g) => {
+                        let pre_clip = store.clip_grad_norm(g.max_grad_norm);
+                        if !pre_clip.is_finite() {
+                            tripped = true;
+                            break;
+                        }
+                        Some(pre_clip)
+                    }
+                    None => grad_norm.as_ref().map(|_| store.grad_norm()),
+                };
+                if let (Some(h), Some(n)) = (&grad_norm, norm) {
+                    h.observe(n);
                 }
-                if let Some(h) = &grad_norm {
-                    h.observe(pre_clip);
-                }
-                adam.step(model.params_mut());
-                if !model.params_mut().values_all_finite() {
+                st.adam.step(store);
+                if guarded && !store.values_all_finite() {
                     tripped = true;
-                    break 'batches;
+                    break;
                 }
             }
 
             if tripped {
-                consecutive_trips += 1;
-                total_trips += 1;
+                st.consecutive_trips += 1;
+                st.total_trips += 1;
                 if obs.is_enabled() {
                     obs.registry.counter("train.divergence_trips").inc();
                 }
-                *model.params_mut() = last_good.clone();
-                model.params_mut().zero_grads();
-                // Adam's moment estimates were fed non-finite or oversized
-                // gradients; restart them alongside the weights.
-                adam = Adam::new(cfg.learning_rate);
-                adam.set_lr(lr);
-                if consecutive_trips >= guard.max_trips.max(1) {
+                let store = step.store();
+                if let Some(good) = &st.last_good {
+                    *store = good.clone();
+                }
+                store.zero_grads();
+                // Adam's moment estimates were fed non-finite or
+                // oversized gradients; restart them alongside the weights.
+                st.adam = Adam::new(cfg.learning_rate);
+                st.adam.set_lr(lr);
+                let max_trips = guard.map_or(1, |g| g.max_trips.max(1));
+                if st.consecutive_trips >= max_trips {
                     return Err(TrainError::Diverged {
                         epoch,
-                        trips: total_trips,
+                        trips: st.total_trips,
                     });
                 }
-                // Checkpoint the rolled-back state at the cadence so the
-                // on-disk last-good tracks the in-memory one.
-                if let Some((store, every, _)) = ckpt {
-                    if (epoch + 1) % every == 0 || epoch + 1 == cfg.epochs {
-                        let state = TrainCheckpoint {
-                            config: cfg,
-                            guard: *guard,
-                            num_samples: train.len(),
-                            epoch_next: epoch + 1,
-                            params: model.params().clone(),
-                            adam: adam.clone(),
-                            rng: rng.state(),
-                            order: order.clone(),
-                            last_good: last_good.clone(),
-                            consecutive_trips,
-                            total_trips,
-                            history: report.clone(),
-                        };
-                        store.save_state((epoch + 1) as u64, &state)?;
+            } else {
+                st.consecutive_trips = 0;
+                if let Some(good) = &mut st.last_good {
+                    good.clone_from(step.store());
+                }
+                let train_loss = epoch_loss / (2.0 * epoch_chains.max(1) as f64);
+                let val_loss = val.map(|v| {
+                    step.sync();
+                    self.evaluate_loss(step.model(), v)
+                });
+                if let Some(timer) = epoch_timer {
+                    let wall = timer.elapsed_secs();
+                    timer.stop();
+                    let reg = &obs.registry;
+                    reg.counter("train.epochs").inc();
+                    reg.counter("train.batches").add(epoch_batches);
+                    reg.gauge("train.samples_per_sec")
+                        .set(train.len() as f64 / wall.max(1e-9));
+                    if T::KIND != StepKind::PerGraph {
+                        reg.gauge("train.batch_size")
+                            .set(cfg.batch_size.max(1) as f64);
                     }
+                    reg.gauge("train.loss").set(train_loss);
+                    if let Some(v) = val_loss {
+                        reg.gauge("train.val_loss").set(v);
+                    }
+                    obs.events.emit(
+                        "train",
+                        &EpochEvent {
+                            kind: "epoch",
+                            epoch,
+                            train_loss,
+                            val_loss,
+                            lr,
+                            wall_seconds: wall,
+                        },
+                    );
                 }
-                continue;
+                st.report.history.push(EpochStats {
+                    epoch,
+                    train_loss,
+                    val_loss,
+                    lr,
+                });
             }
-
-            consecutive_trips = 0;
-            last_good = model.params().clone();
-            let train_loss = epoch_loss / (2.0 * epoch_chains.max(1) as f64);
-            let val_loss = val.map(|v| self.evaluate_loss(model, v));
-            if let Some(timer) = epoch_timer {
-                let wall = timer.elapsed_secs();
-                timer.stop();
-                let reg = &obs.registry;
-                reg.counter("train.epochs").inc();
-                reg.counter("train.batches").add(epoch_batches);
-                reg.gauge("train.samples_per_sec")
-                    .set(train.len() as f64 / wall.max(1e-9));
-                reg.gauge("train.loss").set(train_loss);
-                if let Some(v) = val_loss {
-                    reg.gauge("train.val_loss").set(v);
-                }
-                obs.events.emit(
-                    "train",
-                    &EpochEvent {
-                        kind: "epoch",
-                        epoch,
-                        train_loss,
-                        val_loss,
-                        lr,
-                        wall_seconds: wall,
-                    },
-                );
-            }
-            report.history.push(EpochStats {
-                epoch,
-                train_loss,
-                val_loss,
-                lr,
-            });
-            if let Some((store, every, _)) = ckpt {
-                if (epoch + 1) % every == 0 || epoch + 1 == cfg.epochs {
-                    let state = TrainCheckpoint {
-                        config: cfg,
-                        guard: *guard,
-                        num_samples: train.len(),
-                        epoch_next: epoch + 1,
-                        params: model.params().clone(),
-                        adam: adam.clone(),
-                        rng: rng.state(),
-                        order: order.clone(),
-                        last_good: last_good.clone(),
-                        consecutive_trips,
-                        total_trips,
-                        history: report.clone(),
-                    };
-                    store.save_state((epoch + 1) as u64, &state)?;
+            // Rolled-back epochs checkpoint at the cadence too, so the
+            // on-disk last-good tracks the in-memory one.
+            if let Some(ck) = &plan.checkpoint {
+                if (epoch + 1) % ck.every == 0 || epoch + 1 == cfg.epochs {
+                    st.save(ck, &id, epoch + 1, step.store())?;
                 }
             }
         }
-        Ok(report)
-    }
-
-    fn validate_checkpoint(
-        &self,
-        ck: &TrainCheckpoint,
-        guard: &GuardConfig,
-        num_samples: usize,
-    ) -> Result<(), TrainError> {
-        let reason = if ck.config != self.config {
-            Some("trainer configuration differs from the checkpointed run")
-        } else if ck.guard != *guard {
-            Some("guard configuration differs from the checkpointed run")
-        } else if ck.num_samples != num_samples || ck.order.len() != num_samples {
-            Some("training-set size differs from the checkpointed run")
-        } else if ck.epoch_next > self.config.epochs {
-            Some("checkpoint is ahead of the configured epoch count")
-        } else {
-            None
-        };
-        match reason {
-            Some(r) => Err(TrainError::Checkpoint(CkptError::ResumeMismatch {
-                reason: r.to_string(),
-            })),
-            None => Ok(()),
-        }
+        Ok(st.report)
     }
 }
 
@@ -1106,6 +1082,32 @@ mod tests {
         assert_eq!(apes.latency.len(), 5);
     }
 
+    const KINDS: [StepKind; 3] = [StepKind::PerGraph, StepKind::PackedF64, StepKind::PackedF32];
+
+    /// [`Trainer::fit`] with the step of `kind` on a [`ChainNet`].
+    fn fit_kind(
+        trainer: &Trainer,
+        kind: StepKind,
+        model: &mut ChainNet,
+        train: &[LabeledGraph],
+        val: Option<&[LabeledGraph]>,
+        plan: &TrainPlan<'_>,
+        obs: &Obs,
+    ) -> Result<TrainReport, TrainError> {
+        match kind {
+            StepKind::PerGraph => trainer.fit(PerGraph::new(model), train, val, plan, obs),
+            StepKind::PackedF64 => trainer.fit(Packed::<f64>::new(model), train, val, plan, obs),
+            StepKind::PackedF32 => trainer.fit(Packed::<f32>::new(model), train, val, plan, obs),
+        }
+    }
+
+    fn guarded(guard: GuardConfig) -> TrainPlan<'static> {
+        TrainPlan {
+            guard: Some(guard),
+            checkpoint: None,
+        }
+    }
+
     #[test]
     fn observed_training_matches_plain_and_records_metrics() {
         let data = toy_dataset(10);
@@ -1119,30 +1121,125 @@ mod tests {
             seed: 7,
         };
         let trainer = Trainer::new(cfg);
-        let mut plain_model = ChainNet::new(ModelConfig::small(), 13);
-        let plain = trainer.train(&mut plain_model, train, Some(val));
-        let obs = Obs::enabled();
-        let mut observed_model = ChainNet::new(ModelConfig::small(), 13);
-        let observed = trainer.train_observed(&mut observed_model, train, Some(val), &obs);
-        // Instrumentation must not perturb training.
-        assert_eq!(plain, observed);
-        assert_eq!(plain_model, observed_model);
-        let snap = obs.registry.snapshot();
-        assert_eq!(snap.counters["train.epochs"], 4);
-        assert_eq!(snap.counters["train.batches"], 8); // 2 batches x 4 epochs
-        assert_eq!(snap.histograms["train.epoch_seconds"].count, 4);
-        assert_eq!(snap.histograms["train.grad_norm"].count, 8);
-        assert!(snap.gauges["train.samples_per_sec"] > 0.0);
-        let last = observed.history.last().unwrap();
-        assert_eq!(snap.gauges["train.loss"], last.train_loss);
-        assert_eq!(snap.gauges["train.val_loss"], last.val_loss.unwrap());
+        let unclipped = GuardConfig {
+            max_grad_norm: 0.0,
+            max_trips: 3,
+        };
+        for kind in KINDS {
+            let mut plain_model = ChainNet::new(ModelConfig::small(), 13);
+            let plain = fit_kind(
+                &trainer,
+                kind,
+                &mut plain_model,
+                train,
+                Some(val),
+                &TrainPlan::default(),
+                &Obs::disabled(),
+            )
+            .unwrap();
+            for guard in [None, Some(unclipped)] {
+                for checkpointed in [false, true] {
+                    let tag = format!("observed-{kind:?}-{}-{checkpointed}", guard.is_some());
+                    let dir = ckpt_tmp_dir(&tag);
+                    let store = CkptStore::open(&dir, "train", TRAIN_CKPT_SCHEMA).unwrap();
+                    let plan = TrainPlan {
+                        guard,
+                        checkpoint: checkpointed.then_some(CheckpointPlan {
+                            store: &store,
+                            every: 2,
+                            resume: false,
+                        }),
+                    };
+                    let obs = Obs::enabled().with_tracer(chainnet_obs::Tracer::enabled());
+                    let mut observed_model = ChainNet::new(ModelConfig::small(), 13);
+                    let observed = fit_kind(
+                        &trainer,
+                        kind,
+                        &mut observed_model,
+                        train,
+                        Some(val),
+                        &plan,
+                        &obs,
+                    )
+                    .unwrap();
+                    // Instrumentation, an unclipped guard and checkpoints
+                    // must not perturb training.
+                    assert_eq!(plain, observed, "{tag}");
+                    assert_eq!(plain_model, observed_model, "{tag}");
+                    let snap = obs.registry.snapshot();
+                    assert_eq!(snap.counters["train.epochs"], 4, "{tag}");
+                    // 2 batches x 4 epochs
+                    assert_eq!(snap.counters["train.batches"], 8, "{tag}");
+                    assert_eq!(snap.histograms["train.epoch_seconds"].count, 4, "{tag}");
+                    assert_eq!(snap.histograms["train.grad_norm"].count, 8, "{tag}");
+                    assert!(snap.gauges["train.samples_per_sec"] > 0.0, "{tag}");
+                    let last = observed.history.last().unwrap();
+                    assert_eq!(snap.gauges["train.loss"], last.train_loss, "{tag}");
+                    assert_eq!(snap.gauges["train.val_loss"], last.val_loss.unwrap());
+                    assert_eq!(
+                        snap.gauges.get("train.batch_size").copied(),
+                        (kind != StepKind::PerGraph).then_some(4.0),
+                        "{tag}"
+                    );
+                    let trace = obs.tracer.take();
+                    trace.validate().unwrap();
+                    let stats = trace.phase_stats();
+                    assert_eq!(stats["train.epoch"].count, 4, "{tag}");
+                    assert_eq!(stats["train.step"].count, 8, "{tag}");
+                    assert!(stats["neural.forward"].count >= 8, "{tag}");
+                    assert_eq!(
+                        stats["neural.forward"].count, stats["neural.backward"].count,
+                        "{tag}"
+                    );
+                    let _ = std::fs::remove_dir_all(&dir);
+                }
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "training set is empty")]
-    fn empty_training_set_panics() {
+    fn empty_training_set_is_a_typed_error() {
+        let trainer = Trainer::new(TrainConfig::small());
+        let dir = ckpt_tmp_dir("empty");
+        let store = CkptStore::open(&dir, "train", TRAIN_CKPT_SCHEMA).unwrap();
+        let plans = [
+            TrainPlan::default(),
+            guarded(GuardConfig::default()),
+            TrainPlan {
+                guard: Some(GuardConfig::default()),
+                checkpoint: Some(CheckpointPlan {
+                    store: &store,
+                    every: 1,
+                    resume: false,
+                }),
+            },
+        ];
+        for kind in KINDS {
+            for plan in &plans {
+                let mut model = ChainNet::new(ModelConfig::small(), 5);
+                let err = fit_kind(
+                    &trainer,
+                    kind,
+                    &mut model,
+                    &[],
+                    None,
+                    plan,
+                    &Obs::disabled(),
+                )
+                .unwrap_err();
+                assert_eq!(err, TrainError::EmptyTrainingSet, "{kind:?}");
+            }
+        }
+        // The wrappers report an empty history instead of failing.
         let mut model = ChainNet::new(ModelConfig::small(), 5);
-        Trainer::new(TrainConfig::small()).train(&mut model, &[], None);
+        assert_eq!(trainer.train(&mut model, &[], None), TrainReport::default());
+        for report in [
+            trainer.train_batched::<f32>(&mut model, &[], None, &Obs::disabled()),
+            trainer.train_batched::<f64>(&mut model, &[], None, &Obs::disabled()),
+        ] {
+            assert_eq!(report, TrainReport::default());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Wraps a healthy surrogate and poisons a window of `loss_on_graph`
@@ -1219,7 +1316,13 @@ mod tests {
             max_trips: 3,
         };
         let guarded = trainer
-            .train_guarded(&mut guarded_model, &data, None, &guard)
+            .fit(
+                PerGraph::new(&mut guarded_model),
+                &data,
+                None,
+                &guarded(guard),
+                &Obs::disabled(),
+            )
             .unwrap();
         assert_eq!(plain, guarded);
         assert_eq!(plain_model, guarded_model);
@@ -1242,7 +1345,13 @@ mod tests {
         let mut model = Poisoned::new(ChainNet::new(ModelConfig::small(), 19), 36, 1);
         let obs = Obs::enabled();
         let report = trainer
-            .train_guarded_observed(&mut model, &data, None, &GuardConfig::default(), &obs)
+            .fit(
+                PerGraph::new(&mut model),
+                &data,
+                None,
+                &guarded(GuardConfig::default()),
+                &obs,
+            )
             .expect("a single transient NaN must not abort training");
         // The tripped epoch is dropped from history; the rest completed.
         assert_eq!(report.history.len(), 7);
@@ -1273,7 +1382,13 @@ mod tests {
         };
         let obs = Obs::enabled();
         let err = trainer
-            .train_guarded_observed(&mut model, &data, None, &guard, &obs)
+            .fit(
+                PerGraph::new(&mut model),
+                &data,
+                None,
+                &guarded(guard),
+                &obs,
+            )
             .unwrap_err();
         assert_eq!(err, TrainError::Diverged { epoch: 2, trips: 3 });
         // Rolled back: with no clean epoch, the last good checkpoint is
@@ -1290,12 +1405,49 @@ mod tests {
     }
 
     #[test]
-    fn guarded_training_rejects_empty_training_set() {
-        let mut model = ChainNet::new(ModelConfig::small(), 5);
-        let err = Trainer::new(TrainConfig::small())
-            .train_guarded(&mut model, &[], None, &GuardConfig::default())
+    fn guard_rolls_back_every_step_kind_on_a_nan_target() {
+        // One sample with a NaN throughput target poisons whichever
+        // batch holds it, in every epoch.
+        let mut data = toy_dataset(8);
+        data[5].targets[0].throughput = f64::NAN;
+        let trainer = Trainer::new(TrainConfig {
+            epochs: 10,
+            batch_size: 4,
+            learning_rate: 1e-3,
+            lr_decay: 0.9,
+            lr_decay_period: 10,
+            seed: 17,
+        });
+        let guard = GuardConfig {
+            max_grad_norm: 100.0,
+            max_trips: 3,
+        };
+        for kind in KINDS {
+            let mut model = ChainNet::new(ModelConfig::small(), 23);
+            let mut expected = model.params().clone();
+            if kind == StepKind::PackedF32 {
+                // The packed f32 step holds the weights in single
+                // precision; the initial weights come back rounded.
+                expected.assign_values_cast(&expected.cast::<f32>());
+            }
+            let obs = Obs::enabled();
+            let err = fit_kind(
+                &trainer,
+                kind,
+                &mut model,
+                &data,
+                None,
+                &guarded(guard),
+                &obs,
+            )
             .unwrap_err();
-        assert_eq!(err, TrainError::EmptyTrainingSet);
+            assert_eq!(err, TrainError::Diverged { epoch: 2, trips: 3 }, "{kind:?}");
+            assert_eq!(model.params(), &expected, "{kind:?}");
+            assert_eq!(
+                obs.registry.snapshot().counters["train.divergence_trips"],
+                3
+            );
+        }
     }
 
     fn ckpt_tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -1323,27 +1475,58 @@ mod tests {
         }
     }
 
+    /// The diagnostic guard plus checkpoints through `store`.
+    fn ckpt_plan(store: &CkptStore, every: usize, resume: bool) -> TrainPlan<'_> {
+        TrainPlan {
+            guard: Some(diag_guard()),
+            checkpoint: Some(CheckpointPlan {
+                store,
+                every,
+                resume,
+            }),
+        }
+    }
+
+    /// A fresh store holding copies of `seqs` from `from`: the state a
+    /// process killed after the last of them leaves behind.
+    fn cut_store(from: &CkptStore, tag: &str, seqs: &[u64]) -> CkptStore {
+        let dir = ckpt_tmp_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        for &seq in seqs {
+            std::fs::copy(
+                from.path_of(seq),
+                dir.join(from.path_of(seq).file_name().unwrap()),
+            )
+            .unwrap();
+        }
+        CkptStore::open(&dir, "train", TRAIN_CKPT_SCHEMA).unwrap()
+    }
+
     #[test]
     fn checkpointed_training_matches_plain_guarded() {
         let data = toy_dataset(10);
         let trainer = Trainer::new(ckpt_cfg());
         let mut plain_model = ChainNet::new(ModelConfig::small(), 31);
         let plain = trainer
-            .train_guarded(&mut plain_model, &data, None, &diag_guard())
+            .fit(
+                PerGraph::new(&mut plain_model),
+                &data,
+                None,
+                &guarded(diag_guard()),
+                &Obs::disabled(),
+            )
             .unwrap();
 
         let dir = ckpt_tmp_dir("matches");
         let store = CkptStore::open(&dir, "train", TRAIN_CKPT_SCHEMA).unwrap();
         let mut ckpt_model = ChainNet::new(ModelConfig::small(), 31);
         let ckpted = trainer
-            .train_checkpointed(
-                &mut ckpt_model,
+            .fit(
+                PerGraph::new(&mut ckpt_model),
                 &data,
                 None,
-                &diag_guard(),
-                &store,
-                2,
-                false,
+                &ckpt_plan(&store, 2, false),
+                &Obs::disabled(),
             )
             .unwrap();
         assert_eq!(plain, ckpted);
@@ -1357,60 +1540,48 @@ mod tests {
     fn killed_and_resumed_training_is_bit_identical() {
         let data = toy_dataset(10);
         let trainer = Trainer::new(ckpt_cfg());
-
-        // Uninterrupted checkpointed run: the reference result.
-        let dir_full = ckpt_tmp_dir("full");
-        let store_full = CkptStore::open(&dir_full, "train", TRAIN_CKPT_SCHEMA).unwrap();
-        let mut full_model = ChainNet::new(ModelConfig::small(), 37);
-        let full = trainer
-            .train_checkpointed(
+        for kind in KINDS {
+            // Uninterrupted checkpointed run: the reference result.
+            let dir_full = ckpt_tmp_dir(&format!("full-{kind:?}"));
+            let store_full = CkptStore::open(&dir_full, "train", TRAIN_CKPT_SCHEMA).unwrap();
+            let mut full_model = ChainNet::new(ModelConfig::small(), 37);
+            let full = fit_kind(
+                &trainer,
+                kind,
                 &mut full_model,
                 &data,
                 None,
-                &diag_guard(),
-                &store_full,
-                1,
-                false,
+                &ckpt_plan(&store_full, 1, false),
+                &Obs::disabled(),
             )
             .unwrap();
 
-        // Simulate a SIGKILL after epoch 3: a fresh directory holding
-        // only the checkpoints that existed at that moment is exactly
-        // the state a killed process leaves behind.
-        let dir_cut = ckpt_tmp_dir("cut");
-        std::fs::create_dir_all(&dir_cut).unwrap();
-        for seq in [1u64, 2, 3] {
-            std::fs::copy(
-                store_full.path_of(seq),
-                dir_cut.join(store_full.path_of(seq).file_name().unwrap()),
-            )
-            .unwrap();
-        }
-        let store_cut = CkptStore::open(&dir_cut, "train", TRAIN_CKPT_SCHEMA).unwrap();
-        // The model passed in is a *fresh* one: everything that matters
-        // must come from the checkpoint.
-        let mut resumed_model = ChainNet::new(ModelConfig::small(), 999);
-        let resumed = trainer
-            .train_checkpointed(
+            // Simulate a SIGKILL after epoch 3.
+            let store_cut = cut_store(&store_full, &format!("cut-{kind:?}"), &[1, 2, 3]);
+            // The model passed in is a *fresh* one: everything that
+            // matters must come from the checkpoint.
+            let mut resumed_model = ChainNet::new(ModelConfig::small(), 999);
+            let resumed = fit_kind(
+                &trainer,
+                kind,
                 &mut resumed_model,
                 &data,
                 None,
-                &diag_guard(),
-                &store_cut,
-                1,
-                true,
+                &ckpt_plan(&store_cut, 1, true),
+                &Obs::disabled(),
             )
             .unwrap();
 
-        assert_eq!(full, resumed);
-        assert_eq!(full_model.params(), resumed_model.params());
-        // Byte-level identity of the serialized parameters.
-        assert_eq!(
-            serde_json::to_string(full_model.params()).unwrap(),
-            serde_json::to_string(resumed_model.params()).unwrap()
-        );
-        let _ = std::fs::remove_dir_all(&dir_full);
-        let _ = std::fs::remove_dir_all(&dir_cut);
+            assert_eq!(full, resumed, "{kind:?}");
+            assert_eq!(full_model.params(), resumed_model.params(), "{kind:?}");
+            // Byte-level identity of the serialized parameters.
+            assert_eq!(
+                serde_json::to_string(full_model.params()).unwrap(),
+                serde_json::to_string(resumed_model.params()).unwrap()
+            );
+            let _ = std::fs::remove_dir_all(&dir_full);
+            let _ = std::fs::remove_dir_all(store_cut.dir());
+        }
     }
 
     #[test]
@@ -1421,18 +1592,22 @@ mod tests {
         let store = CkptStore::open(&dir, "train", TRAIN_CKPT_SCHEMA).unwrap();
         let mut model = ChainNet::new(ModelConfig::small(), 41);
         let full = trainer
-            .train_checkpointed(&mut model, &data, None, &diag_guard(), &store, 2, false)
+            .fit(
+                PerGraph::new(&mut model),
+                &data,
+                None,
+                &ckpt_plan(&store, 2, false),
+                &Obs::disabled(),
+            )
             .unwrap();
         let mut resumed_model = ChainNet::new(ModelConfig::small(), 999);
         let resumed = trainer
-            .train_checkpointed(
-                &mut resumed_model,
+            .fit(
+                PerGraph::new(&mut resumed_model),
                 &data,
                 None,
-                &diag_guard(),
-                &store,
-                2,
-                true,
+                &ckpt_plan(&store, 2, true),
+                &Obs::disabled(),
             )
             .unwrap();
         assert_eq!(full, resumed);
@@ -1444,61 +1619,54 @@ mod tests {
     fn corrupt_latest_checkpoint_falls_back_and_still_matches() {
         let data = toy_dataset(10);
         let trainer = Trainer::new(ckpt_cfg());
-        let dir_full = ckpt_tmp_dir("corrupt-ref");
-        let store_full = CkptStore::open(&dir_full, "train", TRAIN_CKPT_SCHEMA).unwrap();
-        let mut full_model = ChainNet::new(ModelConfig::small(), 43);
-        let full = trainer
-            .train_checkpointed(
+        for kind in KINDS {
+            let dir_full = ckpt_tmp_dir(&format!("corrupt-ref-{kind:?}"));
+            let store_full = CkptStore::open(&dir_full, "train", TRAIN_CKPT_SCHEMA).unwrap();
+            let mut full_model = ChainNet::new(ModelConfig::small(), 43);
+            let full = fit_kind(
+                &trainer,
+                kind,
                 &mut full_model,
                 &data,
                 None,
-                &diag_guard(),
-                &store_full,
-                1,
-                false,
+                &ckpt_plan(&store_full, 1, false),
+                &Obs::disabled(),
             )
             .unwrap();
 
-        // Interrupted at epoch 4, with the epoch-4 checkpoint bit-flipped
-        // (e.g. a torn disk): resume must quarantine it, fall back to
-        // epoch 3, and still converge to the identical final state.
-        let dir_cut = ckpt_tmp_dir("corrupt-cut");
-        std::fs::create_dir_all(&dir_cut).unwrap();
-        for seq in [1u64, 2, 3, 4] {
-            std::fs::copy(
-                store_full.path_of(seq),
-                dir_cut.join(store_full.path_of(seq).file_name().unwrap()),
-            )
-            .unwrap();
-        }
-        let store_cut = CkptStore::open(&dir_cut, "train", TRAIN_CKPT_SCHEMA).unwrap();
-        let bad = store_cut.path_of(4);
-        let mut bytes = std::fs::read(&bad).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&bad, &bytes).unwrap();
+            // Interrupted at epoch 4, with the epoch-4 checkpoint
+            // bit-flipped (e.g. a torn disk): resume must quarantine it,
+            // fall back to epoch 3, and still converge to the identical
+            // final state.
+            let store_cut = cut_store(&store_full, &format!("corrupt-cut-{kind:?}"), &[1, 2, 3, 4]);
+            let bad = store_cut.path_of(4);
+            let mut bytes = std::fs::read(&bad).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x40;
+            std::fs::write(&bad, &bytes).unwrap();
 
-        let mut resumed_model = ChainNet::new(ModelConfig::small(), 999);
-        let resumed = trainer
-            .train_checkpointed(
+            let mut resumed_model = ChainNet::new(ModelConfig::small(), 999);
+            let resumed = fit_kind(
+                &trainer,
+                kind,
                 &mut resumed_model,
                 &data,
                 None,
-                &diag_guard(),
-                &store_cut,
-                1,
-                true,
+                &ckpt_plan(&store_cut, 1, true),
+                &Obs::disabled(),
             )
             .unwrap();
-        assert_eq!(full, resumed);
-        assert_eq!(full_model.params(), resumed_model.params());
-        // The bad file was quarantined for inspection; the resumed run
-        // then re-wrote a fresh, valid epoch-4 checkpoint in its place.
-        assert!(dir_cut.join("train-00000004.ckpt.corrupt").exists());
-        let rewritten = std::fs::read(&bad).unwrap();
-        assert!(chainnet_ckpt::decode(&rewritten).is_ok());
-        let _ = std::fs::remove_dir_all(&dir_full);
-        let _ = std::fs::remove_dir_all(&dir_cut);
+            assert_eq!(full, resumed, "{kind:?}");
+            assert_eq!(full_model.params(), resumed_model.params(), "{kind:?}");
+            // The bad file was quarantined for inspection; the resumed
+            // run then re-wrote a fresh, valid epoch-4 checkpoint in its
+            // place.
+            assert!(store_cut.dir().join("train-00000004.ckpt.corrupt").exists());
+            let rewritten = std::fs::read(&bad).unwrap();
+            assert!(chainnet_ckpt::decode(&rewritten).is_ok());
+            let _ = std::fs::remove_dir_all(&dir_full);
+            let _ = std::fs::remove_dir_all(store_cut.dir());
+        }
     }
 
     #[test]
@@ -1508,7 +1676,13 @@ mod tests {
         let store = CkptStore::open(&dir, "train", TRAIN_CKPT_SCHEMA).unwrap();
         let mut model = ChainNet::new(ModelConfig::small(), 5);
         let err = Trainer::new(ckpt_cfg())
-            .train_checkpointed(&mut model, &data, None, &diag_guard(), &store, 0, false)
+            .fit(
+                PerGraph::new(&mut model),
+                &data,
+                None,
+                &ckpt_plan(&store, 0, false),
+                &Obs::disabled(),
+            )
             .unwrap_err();
         assert_eq!(err, TrainError::Checkpoint(CkptError::InvalidCadence));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1521,7 +1695,13 @@ mod tests {
         let store = CkptStore::open(&dir, "train", TRAIN_CKPT_SCHEMA).unwrap();
         let mut model = ChainNet::new(ModelConfig::small(), 5);
         let err = Trainer::new(ckpt_cfg())
-            .train_checkpointed(&mut model, &data, None, &diag_guard(), &store, 1, true)
+            .fit(
+                PerGraph::new(&mut model),
+                &data,
+                None,
+                &ckpt_plan(&store, 1, true),
+                &Obs::disabled(),
+            )
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1533,21 +1713,124 @@ mod tests {
     #[test]
     fn resume_with_changed_config_is_a_mismatch() {
         let data = toy_dataset(6);
-        let dir = ckpt_tmp_dir("mismatch");
-        let store = CkptStore::open(&dir, "train", TRAIN_CKPT_SCHEMA).unwrap();
-        let mut model = ChainNet::new(ModelConfig::small(), 5);
-        Trainer::new(ckpt_cfg())
-            .train_checkpointed(&mut model, &data, None, &diag_guard(), &store, 2, false)
-            .unwrap();
         let mut other_cfg = ckpt_cfg();
         other_cfg.seed = 999;
-        let err = Trainer::new(other_cfg)
-            .train_checkpointed(&mut model, &data, None, &diag_guard(), &store, 2, true)
+        for kind in KINDS {
+            let dir = ckpt_tmp_dir(&format!("mismatch-{kind:?}"));
+            let store = CkptStore::open(&dir, "train", TRAIN_CKPT_SCHEMA).unwrap();
+            let mut model = ChainNet::new(ModelConfig::small(), 5);
+            let trainer = Trainer::new(ckpt_cfg());
+            fit_kind(
+                &trainer,
+                kind,
+                &mut model,
+                &data,
+                None,
+                &ckpt_plan(&store, 2, false),
+                &Obs::disabled(),
+            )
+            .unwrap();
+            let resume = ckpt_plan(&store, 2, true);
+            let mut changed_guard = resume;
+            changed_guard.guard = Some(GuardConfig::default());
+            let other_kind = KINDS.into_iter().find(|&k| k != kind).unwrap();
+            for (what, trainer, step, plan) in [
+                ("config", Trainer::new(other_cfg), kind, resume),
+                ("guard", trainer, kind, changed_guard),
+                ("step kind", trainer, other_kind, resume),
+            ] {
+                let err = fit_kind(
+                    &trainer,
+                    step,
+                    &mut model,
+                    &data,
+                    None,
+                    &plan,
+                    &Obs::disabled(),
+                )
+                .unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        TrainError::Checkpoint(CkptError::ResumeMismatch { .. })
+                    ),
+                    "{kind:?}: changed {what} gave {err:?}"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn payload_without_step_resumes_as_per_graph() {
+        let data = toy_dataset(10);
+        let trainer = Trainer::new(ckpt_cfg());
+        let dir_full = ckpt_tmp_dir("nostep-full");
+        let store_full = CkptStore::open(&dir_full, "train", TRAIN_CKPT_SCHEMA).unwrap();
+        let mut full_model = ChainNet::new(ModelConfig::small(), 47);
+        let full = trainer
+            .fit(
+                PerGraph::new(&mut full_model),
+                &data,
+                None,
+                &ckpt_plan(&store_full, 1, false),
+                &Obs::disabled(),
+            )
+            .unwrap();
+
+        // Rewrite the epoch-3 payload in the layout written before step
+        // kinds existed: no `step` field, the guard and the last-good
+        // store as plain objects.
+        let payload: serde_json::Value = store_full.load_state(3).unwrap().unwrap();
+        let serde_json::Value::Map(fields) = payload else {
+            panic!("checkpoint payload is not an object");
+        };
+        assert!(fields.iter().any(|(k, _)| k == "step"));
+        let old: Vec<(String, serde_json::Value)> =
+            fields.into_iter().filter(|(k, _)| k != "step").collect();
+        let dir_old = ckpt_tmp_dir("nostep-old");
+        let store_old = CkptStore::open(&dir_old, "train", TRAIN_CKPT_SCHEMA).unwrap();
+        store_old
+            .save_state(3, &serde_json::Value::Map(old))
+            .unwrap();
+
+        let restored: TrainCheckpoint = store_old.load_state(3).unwrap().unwrap();
+        assert_eq!(restored.step, StepKind::PerGraph);
+        assert_eq!(
+            restored.guard,
+            Some(GuardConfig {
+                max_grad_norm: 0.0,
+                max_trips: 3,
+            })
+        );
+        let mut resumed_model = ChainNet::new(ModelConfig::small(), 999);
+        let resumed = trainer
+            .fit(
+                PerGraph::new(&mut resumed_model),
+                &data,
+                None,
+                &ckpt_plan(&store_old, 1, true),
+                &Obs::disabled(),
+            )
+            .unwrap();
+        assert_eq!(full, resumed);
+        assert_eq!(full_model.params(), resumed_model.params());
+        // The same payload does not resume a packed run.
+        let mut packed_model = ChainNet::new(ModelConfig::small(), 999);
+        let err = trainer
+            .fit(
+                Packed::<f32>::new(&mut packed_model),
+                &data,
+                None,
+                &ckpt_plan(&store_old, 1, true),
+                &Obs::disabled(),
+            )
             .unwrap_err();
         assert!(matches!(
             err,
             TrainError::Checkpoint(CkptError::ResumeMismatch { .. })
         ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir_full);
+        let _ = std::fs::remove_dir_all(&dir_old);
     }
 }

@@ -146,14 +146,22 @@ fn sanitize_train(cli: &Path, dir: &Path) -> Result<StageReport, LintError> {
             SEED,
         ],
     )?;
-    let mut stdouts = Vec::new();
-    let mut models = Vec::new();
-    for run in ["run_a", "run_b"] {
-        let rd = run_dir(dir, run)?;
-        let model = rd.join("model.json");
-        let stdout = run_cli(
-            cli,
-            &[
+    // Both step kinds, each checkpointing, in its own directory with
+    // its own run_a/run_b pair.
+    let mut checks = Vec::new();
+    for (variant, extra) in [("per_graph", &[][..]), ("f32", &["--dtype", "f32"][..])] {
+        let vdir = dir.join(variant);
+        let mut stdouts = Vec::new();
+        let mut models = Vec::new();
+        for run in ["run_a", "run_b"] {
+            let rd = run_dir(&vdir, run)?;
+            let model = rd.join("model.json");
+            let (ckpt, metrics, trace) = (
+                rd.join("ckpt"),
+                rd.join("metrics.json"),
+                rd.join("trace.jsonl"),
+            );
+            let mut args = vec![
                 "train",
                 "--data",
                 path_str(&dataset)?,
@@ -163,26 +171,34 @@ fn sanitize_train(cli: &Path, dir: &Path) -> Result<StageReport, LintError> {
                 "2",
                 "--seed",
                 SEED,
+                "--checkpoint-dir",
+                path_str(&ckpt)?,
                 "--metrics-out",
-                path_str(&rd.join("metrics.json"))?,
+                path_str(&metrics)?,
                 "--trace-out",
-                path_str(&rd.join("trace.jsonl"))?,
-            ],
-        )?;
-        // The run directory appears in the "model saved to ..." line;
-        // normalize it so the two stdouts are comparable.
-        stdouts.push(stdout.replace(run, "RUN"));
-        models.push(read(&model)?);
+                path_str(&trace)?,
+            ];
+            args.extend_from_slice(extra);
+            let stdout = run_cli(cli, &args)?;
+            // The run directory appears in the "model saved to ..."
+            // line; normalize it so the two stdouts are comparable.
+            stdouts.push(stdout.replace(run, "RUN"));
+            models.push(read(&model)?);
+        }
+        let variant_checks = [
+            check_exact("model.json", &models[0], &models[1]),
+            CheckReport {
+                mode: "normalized-stdout".into(),
+                ..check_exact("stdout", &stdouts[0], &stdouts[1])
+            },
+            check_trace(&vdir)?,
+            check_metrics(&vdir)?,
+        ];
+        checks.extend(variant_checks.into_iter().map(|c| CheckReport {
+            artifact: format!("{variant}/{}", c.artifact),
+            ..c
+        }));
     }
-    let mut checks = vec![
-        check_exact("model.json", &models[0], &models[1]),
-        CheckReport {
-            mode: "normalized-stdout".into(),
-            ..check_exact("stdout", &stdouts[0], &stdouts[1])
-        },
-    ];
-    checks.push(check_trace(dir)?);
-    checks.push(check_metrics(dir)?);
     Ok(stage_report("train", checks))
 }
 

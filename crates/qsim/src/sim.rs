@@ -422,26 +422,6 @@ impl Simulator {
         self.run_faulted_observed(model, config, &FaultSchedule::new(), &Obs::disabled())
     }
 
-    /// Run a simulation with an injected [`FaultSchedule`].
-    ///
-    /// Fault handling consumes no randomness, so a run with an empty
-    /// schedule is bit-identical to [`Simulator::run`] with the same
-    /// seed.
-    ///
-    /// # Errors
-    ///
-    /// Like [`Simulator::run`], plus
-    /// [`QsimError::InvalidFaultSchedule`] if the schedule references
-    /// entities outside the model or has invalid times/factors.
-    pub fn run_faulted(
-        &self,
-        model: &SystemModel,
-        config: &SimConfig,
-        faults: &FaultSchedule,
-    ) -> Result<SimResult> {
-        self.run_faulted_observed(model, config, faults, &Obs::disabled())
-    }
-
     /// Like [`Simulator::run`], additionally recording metrics and a
     /// run-summary event into `obs` when it is enabled:
     ///
@@ -469,14 +449,20 @@ impl Simulator {
         self.run_faulted_observed(model, config, &FaultSchedule::new(), obs)
     }
 
-    /// The full-featured entry point: fault injection plus
-    /// observability. Additionally records `faults.injected` and (on a
-    /// budget trip) `sim.budget_exceeded` counters.
+    /// Run a simulation with an injected [`FaultSchedule`], recording
+    /// into `obs` as [`Simulator::run_observed`] does plus the
+    /// `faults.injected` and (on a budget trip) `sim.budget_exceeded`
+    /// counters. Pass [`Obs::disabled`] for no telemetry.
+    ///
+    /// Fault handling consumes no randomness, so a run with an empty
+    /// schedule is bit-identical to [`Simulator::run`] with the same
+    /// seed.
     ///
     /// # Errors
     ///
-    /// The union of [`Simulator::run_faulted`]'s and
-    /// [`Simulator::run_observed`]'s error conditions.
+    /// Like [`Simulator::run_observed`], plus
+    /// [`QsimError::InvalidFaultSchedule`] if the schedule references
+    /// entities outside the model or has invalid times/factors.
     pub fn run_faulted_observed(
         &self,
         model: &SystemModel,
@@ -1626,7 +1612,7 @@ mod tests {
         let cfg = SimConfig::new(5_000.0, 77);
         let plain = Simulator::new().run(&model, &cfg).unwrap();
         let faulted = Simulator::new()
-            .run_faulted(&model, &cfg, &FaultSchedule::new())
+            .run_faulted_observed(&model, &cfg, &FaultSchedule::new(), &Obs::disabled())
             .unwrap();
         assert_eq!(plain, faulted);
     }
@@ -1641,10 +1627,10 @@ mod tests {
             .degrade(2_000.0, 0, 0.5)
             .restore(3_000.0, 0);
         let a = Simulator::new()
-            .run_faulted(&model, &cfg, &schedule)
+            .run_faulted_observed(&model, &cfg, &schedule, &Obs::disabled())
             .unwrap();
         let b = Simulator::new()
-            .run_faulted(&model, &cfg, &schedule)
+            .run_faulted_observed(&model, &cfg, &schedule, &Obs::disabled())
             .unwrap();
         assert_eq!(a, b);
     }
@@ -1658,7 +1644,7 @@ mod tests {
         let cfg = SimConfig::new(10_000.0, 7).with_warmup(0.0);
         let schedule = FaultSchedule::new().crash(2_500.0, 0).recover(7_500.0, 0);
         let res = Simulator::new()
-            .run_faulted(&model, &cfg, &schedule)
+            .run_faulted_observed(&model, &cfg, &schedule, &Obs::disabled())
             .unwrap();
         assert!(
             (res.loss_probability - 0.5).abs() < 0.05,
@@ -1675,7 +1661,7 @@ mod tests {
         let cfg = SimConfig::new(1_000.0, 9).with_warmup(0.0);
         let schedule = FaultSchedule::new().crash(0.0, 0);
         let res = Simulator::new()
-            .run_faulted(&model, &cfg, &schedule)
+            .run_faulted_observed(&model, &cfg, &schedule, &Obs::disabled())
             .unwrap();
         assert_eq!(res.chains[0].completions, 0);
         assert!(res.loss_probability > 0.99, "{}", res.loss_probability);
@@ -1690,7 +1676,7 @@ mod tests {
         let schedule = FaultSchedule::new().degrade(0.0, 0, 0.5);
         let healthy = Simulator::new().run(&model, &cfg).unwrap();
         let degraded = Simulator::new()
-            .run_faulted(&model, &cfg, &schedule)
+            .run_faulted_observed(&model, &cfg, &schedule, &Obs::disabled())
             .unwrap();
         assert!(
             degraded.chains[0].throughput < healthy.chains[0].throughput * 0.7,
@@ -1707,7 +1693,7 @@ mod tests {
         let schedule = FaultSchedule::new().burst(0.0, 0, 6.0);
         let calm = Simulator::new().run(&model, &cfg).unwrap();
         let burst = Simulator::new()
-            .run_faulted(&model, &cfg, &schedule)
+            .run_faulted_observed(&model, &cfg, &schedule, &Obs::disabled())
             .unwrap();
         // Note: `loss_probability` is Eq. 18 against the *nominal* rate,
         // so burst-induced overload shows up in the raw loss counts.
@@ -1724,7 +1710,7 @@ mod tests {
         let schedule = FaultSchedule::new().crash(5_000.0, 0);
         let plain = Simulator::new().run(&model, &cfg).unwrap();
         let faulted = Simulator::new()
-            .run_faulted(&model, &cfg, &schedule)
+            .run_faulted_observed(&model, &cfg, &schedule, &Obs::disabled())
             .unwrap();
         assert_eq!(plain.chains, faulted.chains);
         assert_eq!(plain.devices, faulted.devices);
@@ -1735,7 +1721,12 @@ mod tests {
         let model = single_station(0.5, 1.0, 5.0);
         let schedule = FaultSchedule::new().crash(10.0, 3);
         let err = Simulator::new()
-            .run_faulted(&model, &SimConfig::new(100.0, 1), &schedule)
+            .run_faulted_observed(
+                &model,
+                &SimConfig::new(100.0, 1),
+                &schedule,
+                &Obs::disabled(),
+            )
             .unwrap_err();
         assert!(matches!(err, QsimError::InvalidFaultSchedule(_)));
     }
@@ -1773,7 +1764,7 @@ mod tests {
         let cfg = SimConfig::new(1_000.0, 3).with_trace_capacity(100_000);
         let schedule = FaultSchedule::new().crash(100.0, 0).recover(200.0, 0);
         let res = Simulator::new()
-            .run_faulted(&model, &cfg, &schedule)
+            .run_faulted_observed(&model, &cfg, &schedule, &Obs::disabled())
             .unwrap();
         assert_eq!(
             res.trace

@@ -9,6 +9,7 @@
 //! delete a file to intentionally re-baseline after an agreed behavior
 //! change.
 
+use chainnet_obs::Obs;
 use chainnet_qsim::faults::FaultSchedule;
 use chainnet_qsim::model::{
     Device, Fragment, MemoryPolicy, Placement, ServiceChain, ServicePolicy, SystemModel,
@@ -108,7 +109,9 @@ fn golden_fault_schedule_run() {
         .burst(3_000.0, 0, 2.0)
         .calm(3_500.0, 0);
     let cfg = SimConfig::new(5_000.0, 13).with_trace_capacity(32);
-    let res = Simulator::new().run_faulted(&model, &cfg, &faults).unwrap();
+    let res = Simulator::new()
+        .run_faulted_observed(&model, &cfg, &faults, &Obs::disabled())
+        .unwrap();
     assert_golden("fault_schedule", &serde_json::to_string(&res).unwrap());
 }
 

@@ -1,5 +1,6 @@
 //! Property-based tests for the queueing simulator and its distributions.
 
+use chainnet_obs::Obs;
 use chainnet_qsim::dist::{Dist, Sampler};
 use chainnet_qsim::faults::FaultSchedule;
 use chainnet_qsim::model::{Device, Fragment, Placement, ServiceChain, SystemModel};
@@ -98,7 +99,7 @@ proptest! {
         let cfg = SimConfig::new(1_000.0, seed);
         let plain = Simulator::new().run(&model, &cfg).unwrap();
         let faulted = Simulator::new()
-            .run_faulted(&model, &cfg, &FaultSchedule::new())
+            .run_faulted_observed(&model, &cfg, &FaultSchedule::new(), &Obs::disabled())
             .unwrap();
         prop_assert_eq!(plain, faulted);
     }
@@ -112,8 +113,8 @@ proptest! {
             .crash(crash_at, 0)
             .recover(crash_at + outage, 0);
         let cfg = SimConfig::new(1_000.0, seed);
-        let a = Simulator::new().run_faulted(&model, &cfg, &schedule).unwrap();
-        let b = Simulator::new().run_faulted(&model, &cfg, &schedule).unwrap();
+        let a = Simulator::new().run_faulted_observed(&model, &cfg, &schedule, &Obs::disabled()).unwrap();
+        let b = Simulator::new().run_faulted_observed(&model, &cfg, &schedule, &Obs::disabled()).unwrap();
         prop_assert_eq!(a, b);
     }
 
@@ -125,7 +126,7 @@ proptest! {
         let cfg = SimConfig::new(1_000.0, seed);
         let schedule = FaultSchedule::new().crash(200.0, 0).recover(800.0, 0);
         let healthy = Simulator::new().run(&model, &cfg).unwrap();
-        let faulted = Simulator::new().run_faulted(&model, &cfg, &schedule).unwrap();
+        let faulted = Simulator::new().run_faulted_observed(&model, &cfg, &schedule, &Obs::disabled()).unwrap();
         let sum = |r: &chainnet_qsim::SimResult| -> u64 {
             r.chains.iter().map(|c| c.completions).sum()
         };

@@ -138,7 +138,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schedule = FaultSchedule::new()
         .crash(1_000.0, victim)
         .recover(4_000.0, victim);
-    let faulted = Simulator::new().run_faulted(&system, &cfg, &schedule)?;
+    let faulted =
+        Simulator::new().run_faulted_observed(&system, &cfg, &schedule, &Obs::disabled())?;
     println!("act 1: fault injection");
     println!(
         "  healthy: throughput {:.3}, loss probability {:.4}",

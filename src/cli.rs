@@ -16,7 +16,10 @@
 use chainnet::config::{ModelConfig, TrainConfig};
 use chainnet::graph::PlacementGraph;
 use chainnet::model::{ChainNet, Surrogate};
-use chainnet::train::{GuardConfig, TrainError, Trainer, TRAIN_CKPT_SCHEMA};
+use chainnet::train::{
+    CheckpointPlan, GuardConfig, Packed, PerGraph, TrainError, TrainPlan, Trainer,
+    TRAIN_CKPT_SCHEMA,
+};
 use chainnet_ckpt::{CkptError, CkptStore};
 use chainnet_datagen::dataset::{
     generate_raw_dataset_observed, generate_raw_dataset_sharded_observed, to_labeled,
@@ -276,7 +279,7 @@ COMMANDS:
   train        --data d.json --out model.json [--epochs 40] [--hidden 32]
                [--iterations 4] [--batch 32] [--dtype f32|f64] [--lr 0.001]
                [--seed 0]  --dtype packs each mini-batch into one padded
-               tape pass in that precision (fast path; no checkpointing)
+               tape pass in that precision (fast path)
   predict      --model model.json --system s.json
   optimize     --problem p.json [--model model.json] [--steps 100]
                [--trials 5] [--horizon 2000] [--seed 0] [--out placement.json]
@@ -609,26 +612,16 @@ fn cmd_gen_dataset(inv: &Invocation) -> Result<String, CliError> {
 }
 
 fn cmd_train(inv: &Invocation) -> Result<String, CliError> {
-    // --dtype selects the packed mini-batch path (one padded tape pass
-    // per batch) in the requested precision. Without it, training runs
-    // the original per-graph loop, bit-identical to earlier releases.
-    // Validated before any file I/O so usage errors surface first.
+    // --dtype selects the packed mini-batch step (one padded tape pass
+    // per batch) in the requested precision; without it every sample
+    // runs its own tape pass. Validated before any file I/O so usage
+    // errors surface first.
     let dtype = inv.options.get("dtype").map(String::as_str);
     if let Some(d) = dtype {
         if d != "f32" && d != "f64" {
             return Err(CliError::Usage(format!(
                 "--dtype must be f32 or f64, got `{d}`"
             )));
-        }
-        if inv.options.contains_key("checkpoint-dir")
-            || inv.options.contains_key("checkpoint-every")
-            || inv.options.contains_key("resume")
-        {
-            return Err(CliError::Usage(
-                "--dtype (batched training) does not support checkpointing yet; \
-                 drop --checkpoint-dir/--checkpoint-every/--resume"
-                    .into(),
-            ));
         }
     }
     let data: Vec<RawSample> = read_json(required(inv, "data")?)?;
@@ -650,31 +643,31 @@ fn cmd_train(inv: &Invocation) -> Result<String, CliError> {
     let obs = build_obs(inv)?;
     register_cancel_signals(&obs);
     let ckpt = checkpoint_options(inv, "train", TRAIN_CKPT_SCHEMA, 1, &obs)?;
-    let report = match dtype {
-        Some("f32") => trainer.train_batched::<f32>(&mut model, &labeled, None, &obs),
-        Some(_) => trainer.train_batched::<f64>(&mut model, &labeled, None, &obs),
-        None => match &ckpt {
-            Some((store, every, resume)) => {
-                // No gradient clipping (max_grad_norm = 0), so a healthy
-                // checkpointed run stays bit-identical to the plain path; the
-                // guard still rolls back on non-finite loss/grads/params.
-                let guard = GuardConfig {
-                    max_grad_norm: 0.0,
-                    max_trips: 3,
-                };
-                trainer.train_checkpointed_observed(
-                    &mut model, &labeled, None, &guard, store, *every, *resume, &obs,
-                )?
-            }
-            None => trainer.train_observed(&mut model, &labeled, None, &obs),
-        },
+    let plan = TrainPlan {
+        // No gradient clipping (max_grad_norm = 0), so a healthy run is
+        // bit-identical to an unguarded one; the guard still rolls back
+        // on non-finite loss/grads/params.
+        guard: Some(GuardConfig {
+            max_grad_norm: 0.0,
+            max_trips: 3,
+        }),
+        checkpoint: ckpt.as_ref().map(|(store, every, resume)| CheckpointPlan {
+            store,
+            every: *every,
+            resume: *resume,
+        }),
     };
+    let report = match dtype {
+        Some("f32") => trainer.fit(Packed::<f32>::new(&mut model), &labeled, None, &plan, &obs),
+        Some(_) => trainer.fit(Packed::<f64>::new(&mut model), &labeled, None, &plan, &obs),
+        None => trainer.fit(PerGraph::new(&mut model), &labeled, None, &plan, &obs),
+    }?;
     write_json(out, &model)?;
     write_metrics(inv, &obs)?;
     write_trace(inv, &obs)?;
     if report.interrupted {
-        // The model written above holds the last completed epoch and the
-        // checkpointed path has already flushed a resumable checkpoint;
+        // The model written above holds the last completed epoch and a
+        // checkpointed run has already flushed a resumable checkpoint;
         // the distinct exit code tells scripts to `--resume` later.
         return Err(CliError::Interrupted(format!(
             "training stopped after {} completed epoch(s); partial model saved to {out}",
@@ -1173,27 +1166,38 @@ mod tests {
     }
 
     #[test]
-    fn train_dtype_rejects_bad_values_and_checkpointing() {
+    fn train_dtype_rejects_bad_values() {
         let inv = parse_args(&args(&[
             "train", "--data", "d.json", "--out", "m.json", "--dtype", "f16",
         ]))
         .unwrap();
         let err = run(&inv).unwrap_err();
         assert!(matches!(err, CliError::Usage(ref m) if m.contains("f32 or f64")));
-        let inv = parse_args(&args(&[
-            "train",
-            "--data",
-            "d.json",
-            "--out",
-            "m.json",
-            "--dtype",
-            "f32",
-            "--checkpoint-dir",
-            "ckpts",
-        ]))
-        .unwrap();
-        let err = run(&inv).unwrap_err();
-        assert!(matches!(err, CliError::Usage(ref m) if m.contains("checkpoint")));
+    }
+
+    #[test]
+    fn train_on_an_empty_dataset_is_a_typed_error_on_every_path() {
+        let data_path = temp("empty_train_data.json");
+        let model_path = temp("empty_train_model.json");
+        let dir = temp_dir("empty_train_ckpt");
+        std::fs::write(&data_path, "[]").unwrap();
+        for extra in [
+            &[][..],
+            &["--dtype", "f32"][..],
+            &["--dtype", "f64"][..],
+            &["--checkpoint-dir", dir.as_str()][..],
+            &["--dtype", "f32", "--checkpoint-dir", dir.as_str()][..],
+        ] {
+            let mut argv = vec!["train", "--data", &data_path, "--out", &model_path];
+            argv.extend_from_slice(extra);
+            let err = run(&parse_args(&args(&argv)).unwrap()).unwrap_err();
+            assert!(
+                matches!(err, CliError::Train(TrainError::EmptyTrainingSet)),
+                "{extra:?}: {err:?}"
+            );
+        }
+        let _ = std::fs::remove_file(&data_path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1381,67 +1385,78 @@ mod tests {
         ]))
         .unwrap())
         .unwrap();
-        run(&parse_args(&args(&[
-            "train",
-            "--data",
-            &data_path,
-            "--out",
-            &model_path,
-            "--epochs",
-            "2",
-            "--hidden",
-            "8",
-            "--iterations",
-            "2",
-            "--trace-out",
-            &trace_path,
-        ]))
-        .unwrap())
-        .unwrap();
-        // The file is well-formed Chrome trace_event JSON...
-        let text = std::fs::read_to_string(&trace_path).unwrap();
-        let json: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert!(json
-            .get("traceEvents")
-            .and_then(|v| v.as_seq())
-            .is_some_and(|events| !events.is_empty()));
-        // ...that parses back into a structurally valid trace
-        // (unique ids, live parents, children nested inside parents).
-        let trace = chainnet_obs::report::parse_trace(&text).unwrap();
-        trace.validate().unwrap();
-        let stats = trace.phase_stats();
-        assert_eq!(stats["train.epoch"].count, 2);
-        assert!(stats["train.step"].count >= 2);
-        assert!(stats["neural.forward"].count >= stats["train.step"].count);
-        assert_eq!(
-            stats["neural.forward"].count,
-            stats["neural.backward"].count
-        );
-        // Forward spans nest under steps, steps under epochs.
-        let step_ids: Vec<u64> = trace
-            .spans
-            .iter()
-            .filter(|s| s.name == "train.step")
-            .map(|s| s.id)
-            .collect();
-        let epoch_ids: Vec<u64> = trace
-            .spans
-            .iter()
-            .filter(|s| s.name == "train.epoch")
-            .map(|s| s.id)
-            .collect();
-        for s in &trace.spans {
-            match s.name.as_str() {
-                "train.step" => assert!(epoch_ids.contains(&s.parent)),
-                "neural.forward" | "neural.backward" => {
-                    assert!(step_ids.contains(&s.parent), "{} under step", s.name)
+        let ckpt_dir = temp_dir("trace_train_ckpt");
+        // Every step kind, with and without checkpoints, records the same
+        // span structure.
+        for extra in [
+            &[][..],
+            &["--checkpoint-dir", &ckpt_dir][..],
+            &["--dtype", "f32", "--checkpoint-dir", &ckpt_dir][..],
+        ] {
+            let mut argv = vec![
+                "train",
+                "--data",
+                &data_path,
+                "--out",
+                &model_path,
+                "--epochs",
+                "2",
+                "--hidden",
+                "8",
+                "--iterations",
+                "2",
+                "--trace-out",
+                &trace_path,
+            ];
+            argv.extend_from_slice(extra);
+            let _ = std::fs::remove_dir_all(&ckpt_dir);
+            run(&parse_args(&args(&argv)).unwrap()).unwrap();
+            // The file is well-formed Chrome trace_event JSON...
+            let text = std::fs::read_to_string(&trace_path).unwrap();
+            let json: serde_json::Value = serde_json::from_str(&text).unwrap();
+            assert!(json
+                .get("traceEvents")
+                .and_then(|v| v.as_seq())
+                .is_some_and(|events| !events.is_empty()));
+            // ...that parses back into a structurally valid trace
+            // (unique ids, live parents, children nested inside parents).
+            let trace = chainnet_obs::report::parse_trace(&text).unwrap();
+            trace.validate().unwrap();
+            let stats = trace.phase_stats();
+            assert_eq!(stats["train.epoch"].count, 2);
+            assert!(stats["train.step"].count >= 2);
+            assert!(stats["neural.forward"].count >= stats["train.step"].count);
+            assert_eq!(
+                stats["neural.forward"].count,
+                stats["neural.backward"].count
+            );
+            // Forward spans nest under steps, steps under epochs.
+            let step_ids: Vec<u64> = trace
+                .spans
+                .iter()
+                .filter(|s| s.name == "train.step")
+                .map(|s| s.id)
+                .collect();
+            let epoch_ids: Vec<u64> = trace
+                .spans
+                .iter()
+                .filter(|s| s.name == "train.epoch")
+                .map(|s| s.id)
+                .collect();
+            for s in &trace.spans {
+                match s.name.as_str() {
+                    "train.step" => assert!(epoch_ids.contains(&s.parent)),
+                    "neural.forward" | "neural.backward" => {
+                        assert!(step_ids.contains(&s.parent), "{} under step", s.name)
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
         }
         for p in [&data_path, &model_path, &trace_path] {
             let _ = std::fs::remove_file(p);
         }
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
     }
 
     #[test]
@@ -1714,17 +1729,23 @@ mod tests {
             argv.extend_from_slice(extra);
             run(&parse_args(&args(&argv)).unwrap()).unwrap()
         };
-        train(&plain, &[]);
-        train(&ckpt, &["--checkpoint-dir", &dir]);
-        // The unclipped guard makes the checkpointed path bit-identical
-        // to the plain trainer on a healthy run.
-        assert_eq!(
-            std::fs::read_to_string(&plain).unwrap(),
-            std::fs::read_to_string(&ckpt).unwrap()
-        );
-        assert!(std::path::Path::new(&dir)
-            .join("train-00000002.ckpt")
-            .exists());
+        // The unclipped guard makes a checkpointed run bit-identical to a
+        // plain one, for the per-graph and the packed f32 step alike.
+        for dtype in [&[][..], &["--dtype", "f32"][..]] {
+            let _ = std::fs::remove_dir_all(&dir);
+            train(&plain, dtype);
+            let mut extra = dtype.to_vec();
+            extra.extend_from_slice(&["--checkpoint-dir", &dir]);
+            train(&ckpt, &extra);
+            assert_eq!(
+                std::fs::read_to_string(&plain).unwrap(),
+                std::fs::read_to_string(&ckpt).unwrap(),
+                "{dtype:?}"
+            );
+            assert!(std::path::Path::new(&dir)
+                .join("train-00000002.ckpt")
+                .exists());
+        }
         for p in [&data, &plain, &ckpt] {
             let _ = std::fs::remove_file(p);
         }

@@ -3,7 +3,8 @@
 //! check the final artifact is byte-identical to an uninterrupted run;
 //! corrupt a checkpoint on disk and watch resume quarantine it and fall
 //! back; check the documented exit codes for checkpoint flag misuse.
-//! Covers `train` and the neighborhood `optimize` search.
+//! Covers `train` (per-graph and packed `--dtype f32`) and the
+//! neighborhood `optimize` search.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -162,32 +163,36 @@ fn checkpoint_flag_misuse_has_documented_exit_codes() {
 }
 
 #[cfg(unix)]
-#[test]
-fn sigkill_mid_train_then_resume_is_bit_identical() {
-    let data = temp("kill_data.json");
+/// SIGKILL a checkpointed `train` run (the shared invocation plus
+/// `extra`) once checkpoint `kill_at` has landed, resume it in a fresh
+/// process, and require the model byte-identical to an uninterrupted
+/// run.
+fn sigkill_train_then_resume(tag: &str, extra: &[&str], kill_at: u64) {
+    let data = temp(&format!("{tag}_data.json"));
     gen_dataset(&data);
+    let train = |model: &Path, dir: &Path, resume: bool| {
+        let mut cmd = train_cmd(&data, model, dir, resume);
+        cmd.args(extra);
+        cmd
+    };
 
     // Uninterrupted reference run.
-    let ref_dir = temp_dir("kill_ref");
-    let ref_model = temp("kill_ref_model.json");
-    let out = train_cmd(&data, &ref_model, &ref_dir, false)
-        .output()
-        .expect("spawn");
+    let ref_dir = temp_dir(&format!("{tag}_ref"));
+    let ref_model = temp(&format!("{tag}_ref_model.json"));
+    let out = train(&ref_model, &ref_dir, false).output().expect("spawn");
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // Killed run: SIGKILL as soon as a few checkpoints have landed. If
+    // Killed run: SIGKILL as soon as checkpoint `kill_at` has landed. If
     // the run wins the race and finishes first, the resume below still
     // has to reproduce the identical model from its final checkpoint.
-    let kill_dir = temp_dir("kill_victim");
-    let kill_model = temp("kill_victim_model.json");
-    let mut child = train_cmd(&data, &kill_model, &kill_dir, false)
-        .spawn()
-        .expect("spawn");
-    let target = kill_dir.join("train-00000003.ckpt");
+    let kill_dir = temp_dir(&format!("{tag}_victim"));
+    let kill_model = temp(&format!("{tag}_victim_model.json"));
+    let mut child = train(&kill_model, &kill_dir, false).spawn().expect("spawn");
+    let target = kill_dir.join(format!("train-{kill_at:08}.ckpt"));
     for _ in 0..600 {
         if target.exists() {
             break;
@@ -205,9 +210,7 @@ fn sigkill_mid_train_then_resume_is_bit_identical() {
     );
 
     // Resume in a fresh process and compare the model byte for byte.
-    let out = train_cmd(&data, &kill_model, &kill_dir, true)
-        .output()
-        .expect("spawn");
+    let out = train(&kill_model, &kill_dir, true).output().expect("spawn");
     assert!(
         out.status.success(),
         "{}",
@@ -227,7 +230,16 @@ fn sigkill_mid_train_then_resume_is_bit_identical() {
     }
 }
 
-/// The shared checkpointed neighborhood-search `optimize` invocation.
+#[test]
+fn sigkill_mid_train_then_resume_is_bit_identical() {
+    sigkill_train_then_resume("kill", &[], 3);
+}
+
+#[test]
+fn sigkill_mid_packed_f32_train_then_resume_is_bit_identical() {
+    sigkill_train_then_resume("kill_f32", &["--dtype", "f32"], 1);
+}
+
 fn optimize_cmd(problem: &Path, out: &Path, ckpt_dir: &Path, resume: bool) -> Command {
     let mut cmd = bin();
     cmd.args([

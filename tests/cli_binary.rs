@@ -39,6 +39,39 @@ fn missing_file_is_an_io_error_not_a_panic() {
 }
 
 #[test]
+fn train_on_an_empty_dataset_exits_1_on_every_path() {
+    let data = temp("empty_data.json");
+    let model = temp("empty_model.json");
+    let dir = temp("empty_ckpts");
+    std::fs::write(&data, "[]").unwrap();
+    let (data_s, model_s, dir_s) = (
+        data.to_str().unwrap(),
+        model.to_str().unwrap(),
+        dir.to_str().unwrap(),
+    );
+    for extra in [
+        &[][..],
+        &["--dtype", "f32"][..],
+        &["--checkpoint-dir", dir_s][..],
+        &["--dtype", "f32", "--checkpoint-dir", dir_s][..],
+    ] {
+        let out = bin()
+            .args(["train", "--data", data_s, "--out", model_s])
+            .args(extra)
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{extra:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("training set is empty"),
+            "{extra:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&data);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn sigterm_interrupts_gen_dataset_with_exit_5_and_resumable_checkpoints() {
     let dir = temp("sigterm_ckpts");
     let out = temp("sigterm_data.json");
