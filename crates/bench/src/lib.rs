@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 //! Experiment harness for the ChainNet reproduction: one binary per table
 //! and figure of the paper's evaluation section, plus Criterion
 //! performance benches.

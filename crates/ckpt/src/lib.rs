@@ -1,5 +1,10 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 //! Crash-safe checkpoint layer for the ChainNet workspace.
 //!

@@ -269,6 +269,10 @@ impl Surrogate for BaselineGnn {
         &mut self.store
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "SystemModel validation rejects graphs with zero chains"
+    )]
     fn loss_on_graph(
         &self,
         tape: &mut Tape,
@@ -291,7 +295,6 @@ impl Surrogate for BaselineGnn {
                 None => s,
             });
         }
-        // lint:allow(panic): SystemModel validation rejects graphs with zero chains
         total.expect("graph has at least one chain")
     }
 

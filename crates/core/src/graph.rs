@@ -90,7 +90,10 @@ impl PlacementGraph {
     pub fn from_model(model: &SystemModel, mode: FeatureMode) -> Self {
         let used = model.placement().used_devices();
         // Map global device index -> local index.
-        // lint:allow(panic): used_devices() lists every device the placement references
+        #[expect(
+            clippy::expect_used,
+            reason = "used_devices() lists every device the placement references"
+        )]
         let local_of = |g: usize| used.iter().position(|&u| u == g).expect("used device");
 
         // Pre-compute Δt_k and Δm_k per used device.

@@ -338,6 +338,10 @@ impl ChainNet {
     ///
     /// Panics as [`ChainNet::batched_forward`] does, or if `targets` was
     /// packed for a batch with a different chain-slot layout.
+    #[expect(
+        clippy::expect_used,
+        reason = "pack() rejects empty batches and SystemModel validation rejects graphs with zero chains"
+    )]
     pub fn batched_loss<S: Scalar>(
         &self,
         tape: &mut Tape<S>,
@@ -368,8 +372,6 @@ impl ChainNet {
                 None => s,
             });
         }
-        // lint:allow(panic): pack() rejects empty batches and SystemModel
-        // validation rejects graphs with zero chains
         total.expect("batch has at least one chain slot")
     }
 

@@ -1,5 +1,10 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 //! **ChainNet** — a customized graph neural network surrogate for
 //! loss-aware edge AI service deployment (Niu, Roveri, Casale, DSN 2024),

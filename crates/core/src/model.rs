@@ -445,6 +445,10 @@ impl Surrogate for ChainNet {
         &mut self.store
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "SystemModel validation rejects graphs with zero chains"
+    )]
     fn loss_on_graph(
         &self,
         tape: &mut Tape,
@@ -467,7 +471,6 @@ impl Surrogate for ChainNet {
                 None => s,
             });
         }
-        // lint:allow(panic): SystemModel validation rejects graphs with zero chains
         total.expect("graph has at least one chain")
     }
 

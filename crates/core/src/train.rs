@@ -1246,6 +1246,10 @@ mod tests {
     /// calls with a NaN-scaled loss, to exercise the divergence guard.
     struct Poisoned {
         inner: ChainNet,
+        #[expect(
+            clippy::disallowed_types,
+            reason = "test-only: counts calls through the `&self` Surrogate API"
+        )]
         calls: std::cell::Cell<usize>,
         poison_from: usize,
         poison_count: usize,
@@ -1255,6 +1259,10 @@ mod tests {
         fn new(inner: ChainNet, poison_from: usize, poison_count: usize) -> Self {
             Self {
                 inner,
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "test-only: counts calls through the `&self` Surrogate API"
+                )]
                 calls: std::cell::Cell::new(0),
                 poison_from,
                 poison_count,

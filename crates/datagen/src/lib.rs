@@ -1,5 +1,10 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 //! Workload and dataset generation for the ChainNet experiments: the
 //! Table III network generators (Type I and Type II), the Table VII

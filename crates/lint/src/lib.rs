@@ -1,48 +1,55 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
-//! `chainnet-lint` — the workspace's static-analysis gate.
+//! `chainnet-lint` — the workspace's static-analysis gate for the
+//! invariants rustc and clippy cannot express.
 //!
-//! The ChainNet reproduction rests on invariants `rustc` cannot check:
+//! The ChainNet reproduction rests on invariants beyond type safety:
 //! label generation and the Table V/VI results replay only if the
 //! simulator, trainer and SA search are deterministic given a seed;
 //! the resilience layer promises panic-free library crates with typed
 //! errors; and the observability layer promises a consistent,
-//! documented metric namespace. This crate makes those promises
-//! machine-checked on every commit:
+//! documented metric namespace. rustc and clippy enforce the panic
+//! (R1), determinism (R2), unsafe (R3), RNG (R7) and shared-state (R9)
+//! rules through the workspace lints, crate-root attributes and
+//! `clippy.toml` files (see `docs/lint_rules.md`). This crate checks
+//! the rest on every commit:
 //!
-//! * **R1 `panic`** — no `.unwrap()` / `.expect(` / `panic!` /
-//!   `todo!` / `unimplemented!` in library code (tests, benches,
-//!   examples and binary entry points are exempt);
-//! * **R2 `determinism`** — no `Instant::now` / `SystemTime::now` /
-//!   `thread_rng` / `HashMap` / `HashSet` in the hot-path crates
-//!   (`qsim`, `neural`, `placement`, `core`);
-//! * **R3 `unsafe`** — `#![forbid(unsafe_code)]` on every crate root
-//!   and no `unsafe` token anywhere first-party;
 //! * **R4 `obs_schema`** — metric names at obs call sites and span
 //!   names at tracer call sites match the `[a-z0-9_.]` charset and
 //!   agree, both directions, with the metric and span tables in
 //!   `crates/obs/README.md`;
 //! * **R5 `error_hygiene`** — public `Result` APIs in library crates
-//!   use the crate's typed error, not `String` or `Box<dyn Error>`.
+//!   use the crate's typed error, not `String` or `Box<dyn Error>`;
+//! * **R6 `alloc_hygiene`** — no allocating call inside a function
+//!   marked `// lint:zero_alloc`;
+//! * **R8 `float_order`** — float orderings go through `total_cmp`,
+//!   never `partial_cmp(..).unwrap()` (clippy's `disallowed-methods`
+//!   would also fire inside every `#[derive(PartialOrd)]`).
 //!
 //! A violation is suppressed only by an inline annotation on the same
 //! or the preceding line:
 //!
 //! ```text
-//! // lint:allow(determinism): wall-clock budget watchdog, results
-//! // are not derived from this read
-//! let start_wall = Instant::now();
+//! // lint:allow(alloc_hygiene): growth is bounded by the trace's
+//! // capacity cap
+//! self.records.push(record);
 //! ```
 //!
-//! Malformed annotations (unknown rule, missing reason) are themselves
-//! violations, so a typo cannot silently disable a rule. See
-//! `docs/lint_rules.md` for the full contract.
+//! Malformed annotations (unknown rule, missing reason) and unused
+//! ones (no violation on the line they cover) are themselves R0
+//! violations, so a typo or a stale suppression cannot silently
+//! disable a rule. See `docs/lint_rules.md` for the full contract.
 //!
 //! Scanning is a hand-rolled masking pass (no external parser — the
 //! build is offline, see `vendor/README.md`): comment and string
-//! bodies are blanked before any pattern matching, so a banned token
-//! in a doc comment or an error message never false-positives.
+//! bodies are blanked before any pattern matching, so a pattern in a
+//! doc comment or an error message never false-positives.
 
 pub mod error;
 pub mod items;

@@ -32,7 +32,7 @@ modes:
   --workspace           lint the ChainNet workspace layout (library
                         crates + bench/suite harnesses, obs README schema)
   --fixture-root <dir>  lint an arbitrary crates/ tree with every crate
-                        held to the strictest (library + hot-path) profile
+                        held to the strictest (library) profile
   --sanitize <stage>    runtime determinism sanitizer: run a CLI stage
                         twice with the same seed and diff the artifacts;
                         <stage> is simulate, train, optimize, or all

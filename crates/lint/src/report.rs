@@ -5,32 +5,23 @@ use serde::Serialize;
 use std::fmt;
 
 /// The rule a violation belongs to. Slugs double as the names accepted
-/// by `// lint:allow(<rule>): <reason>` annotations.
+/// by `// lint:allow(<rule>): <reason>` annotations. R1, R2, R3, R7 and
+/// R9 are rustc/clippy lints (see `docs/lint_rules.md`); their ids are
+/// not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum Rule {
-    /// R1 — panic-freedom in library code.
-    Panic,
-    /// R2 — determinism in hot-path crates.
-    Determinism,
-    /// R3 — `#![forbid(unsafe_code)]` everywhere, no `unsafe` tokens.
-    UnsafeCode,
     /// R4 — obs metric names: charset + README schema consistency.
     ObsSchema,
     /// R5 — typed errors on public `Result` APIs.
     ErrorHygiene,
     /// R6 — no heap allocation inside `// lint:zero_alloc` functions.
     AllocHygiene,
-    /// R7 — RNG discipline: seeded construction only, no ambient RNG,
-    /// no cloning of RNG values (workspace-wide).
-    RngDiscipline,
     /// R8 — float ordering through `total_cmp`, never
     /// `partial_cmp(..).unwrap()` (workspace-wide).
     FloatOrder,
-    /// R9 — shared-state prep: `Rc`/`RefCell`/`Cell`/`static mut`/
-    /// `thread_local!` flagged in crates slated for thread-sharding.
-    SharedState,
     /// Meta — malformed `lint:allow` annotation (unknown rule or
-    /// missing reason). A broken suppression must not pass silently.
+    /// missing reason) or one that suppressed nothing. A broken or
+    /// stale suppression must not pass silently.
     AllowSyntax,
 }
 
@@ -38,15 +29,10 @@ impl Rule {
     /// The annotation slug (`lint:allow(<slug>): ...`).
     pub fn slug(self) -> &'static str {
         match self {
-            Rule::Panic => "panic",
-            Rule::Determinism => "determinism",
-            Rule::UnsafeCode => "unsafe",
             Rule::ObsSchema => "obs_schema",
             Rule::ErrorHygiene => "error_hygiene",
             Rule::AllocHygiene => "alloc_hygiene",
-            Rule::RngDiscipline => "rng_discipline",
             Rule::FloatOrder => "float_order",
-            Rule::SharedState => "shared_state",
             Rule::AllowSyntax => "allow_syntax",
         }
     }
@@ -54,31 +40,21 @@ impl Rule {
     /// Parse an annotation slug.
     pub fn from_slug(s: &str) -> Option<Rule> {
         Some(match s {
-            "panic" => Rule::Panic,
-            "determinism" => Rule::Determinism,
-            "unsafe" => Rule::UnsafeCode,
             "obs_schema" => Rule::ObsSchema,
             "error_hygiene" => Rule::ErrorHygiene,
             "alloc_hygiene" => Rule::AllocHygiene,
-            "rng_discipline" => Rule::RngDiscipline,
             "float_order" => Rule::FloatOrder,
-            "shared_state" => Rule::SharedState,
             _ => return None,
         })
     }
 
-    /// Paper-facing rule id (R1..R9) for diagnostics.
+    /// Paper-facing rule id (R0, R4, R5, R6, R8) for diagnostics.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::Panic => "R1",
-            Rule::Determinism => "R2",
-            Rule::UnsafeCode => "R3",
             Rule::ObsSchema => "R4",
             Rule::ErrorHygiene => "R5",
             Rule::AllocHygiene => "R6",
-            Rule::RngDiscipline => "R7",
             Rule::FloatOrder => "R8",
-            Rule::SharedState => "R9",
             Rule::AllowSyntax => "R0",
         }
     }
@@ -93,7 +69,8 @@ impl fmt::Display for Rule {
 /// One unsuppressed rule violation.
 #[derive(Debug, Clone, Serialize)]
 pub struct Violation {
-    /// Paper-facing rule id: `R1`..`R9` (`R0` for annotation syntax).
+    /// Paper-facing rule id: `R4`, `R5`, `R6`, `R8` (`R0` for a
+    /// malformed or unused annotation).
     pub rule: String,
     /// Annotation slug for the rule (what `lint:allow` would take).
     pub slug: String,

@@ -1,4 +1,6 @@
-//! The rule set (R1–R9) and the `lint:allow` suppression machinery.
+//! The rule set (R4, R5, R6, R8) and the `lint:allow` suppression
+//! machinery. R1, R2, R3, R7 and R9 are enforced by rustc and clippy
+//! (see `docs/lint_rules.md`).
 //!
 //! All rules run on [`Masked`](crate::tokenizer::Masked) text, so
 //! banned patterns inside comments and string literals never fire.
@@ -13,35 +15,6 @@ use crate::report::{Rule, Violation};
 use crate::tokenizer::{is_ident_byte, Masked};
 use crate::workspace::{CrateKind, CrateSpec, SourceFile};
 use std::collections::BTreeMap;
-
-/// R1 — method/macro patterns that can panic in library code.
-const PANIC_PATTERNS: &[(&str, bool)] = &[
-    // (pattern, needs identifier boundary before first byte)
-    (".unwrap()", false),
-    (".expect(", false),
-    ("panic!", true),
-    ("todo!", true),
-    ("unimplemented!", true),
-];
-
-/// R2 — sources of nondeterminism banned in hot-path crates. The wall
-/// clock breaks replayability; `HashMap`/`HashSet` have
-/// nondeterministic iteration order (use `BTreeMap`/`BTreeSet`, or
-/// annotate a keyed-lookup-only use with `lint:allow(determinism)`).
-/// Ambient RNG (`thread_rng`, `from_entropy`) is R7's job — it is
-/// banned workspace-wide, not just in hot-path crates.
-const DETERMINISM_PATTERNS: &[(&str, &str)] = &[
-    ("Instant::now", "wall-clock read in a hot path"),
-    ("SystemTime::now", "wall-clock read in a hot path"),
-    (
-        "HashMap",
-        "unordered map (iteration order is nondeterministic)",
-    ),
-    (
-        "HashSet",
-        "unordered set (iteration order is nondeterministic)",
-    ),
-];
 
 /// R6 — allocation/heap patterns banned inside `// lint:zero_alloc`
 /// function bodies. `Vec::with_capacity` is deliberately absent: the
@@ -60,29 +33,6 @@ const ALLOC_PATTERNS: &[(&str, bool)] = &[
     (".to_owned(", false),
     (".to_vec(", false),
     (".clone(", false),
-];
-
-/// R7 — ambient/unseeded RNG construction, banned workspace-wide.
-/// (RNG cloning is detected separately: it forks a stream into two
-/// identical ones, which silently correlates draws.)
-const RNG_PATTERNS: &[(&str, &str)] = &[
-    ("thread_rng", "ambient (unseeded) RNG"),
-    ("from_entropy", "entropy-seeded RNG construction"),
-];
-
-/// R9 — shared-ownership / interior-mutability / global-state types
-/// flagged in the crates slated for thread-sharding. None of these are
-/// `Send`-friendly, so they would block the ROADMAP's multi-core qsim
-/// and portfolio-SA work.
-const SHARED_STATE_PATTERNS: &[(&str, &str)] = &[
-    ("Rc", "`Rc` is not `Send`"),
-    ("RefCell", "`RefCell` is not `Sync`"),
-    ("Cell", "`Cell` is not `Sync`"),
-    ("static mut", "mutable global state"),
-    (
-        "thread_local!",
-        "per-thread global state breaks seeded replay across thread counts",
-    ),
 ];
 
 /// A parsed `lint:allow(<rule>): <reason>` annotation.
@@ -198,70 +148,6 @@ impl<'a> FileScan<'a> {
     fn push(&mut self, rule: Rule, offset: usize, message: String) {
         let line = self.masked.line_of(offset);
         self.candidates.push((rule, line, message));
-    }
-
-    /// R1 — panic-freedom.
-    pub fn rule_panic(&mut self) {
-        for &(pat, boundary) in PANIC_PATTERNS {
-            for off in find_all(&self.masked.code, pat, boundary) {
-                if self.in_test_region(off) {
-                    continue;
-                }
-                self.push(
-                    Rule::Panic,
-                    off,
-                    format!(
-                        "`{}` can panic; return the crate's typed error instead \
-                         (or annotate an invariant with lint:allow(panic))",
-                        pat.trim_start_matches('.').trim_end_matches('(')
-                    ),
-                );
-            }
-        }
-    }
-
-    /// R2 — determinism.
-    pub fn rule_determinism(&mut self) {
-        for &(pat, why) in DETERMINISM_PATTERNS {
-            for off in find_all(&self.masked.code, pat, true) {
-                if self.in_test_region(off) {
-                    continue;
-                }
-                self.push(
-                    Rule::Determinism,
-                    off,
-                    format!("`{pat}` in a hot-path crate: {why}; seeded results must replay"),
-                );
-            }
-        }
-    }
-
-    /// R3 (token half) — no `unsafe` anywhere in first-party code.
-    pub fn rule_unsafe_tokens(&mut self) {
-        for off in find_all(&self.masked.code, "unsafe", true) {
-            // `#![forbid(unsafe_code)]` itself mentions the word.
-            if self.masked.code[..off].ends_with("forbid(")
-                || self.masked.code[off..].starts_with("unsafe_code")
-            {
-                continue;
-            }
-            self.push(
-                Rule::UnsafeCode,
-                off,
-                "`unsafe` is banned workspace-wide".to_string(),
-            );
-        }
-    }
-
-    /// R3 (attribute half) — the crate root must opt in to the ban.
-    pub fn rule_forbid_attr(&mut self, rel_path: &str) {
-        if !self.masked.code.contains("#![forbid(unsafe_code)]") {
-            self.candidates.push((
-                Rule::UnsafeCode,
-                1,
-                format!("{rel_path} is a crate root without `#![forbid(unsafe_code)]`"),
-            ));
-        }
     }
 
     /// R4 (collection half) — metric-name literals at obs call sites.
@@ -405,48 +291,6 @@ impl<'a> FileScan<'a> {
         }
     }
 
-    /// R7 — RNG discipline (workspace-wide): no ambient/entropy-seeded
-    /// RNG construction, no cloning of RNG values.
-    pub fn rule_rng_discipline(&mut self) {
-        let code = &self.masked.code;
-        for &(pat, why) in RNG_PATTERNS {
-            for off in find_all(code, pat, true) {
-                if self.in_test_region(off) {
-                    continue;
-                }
-                self.push(
-                    Rule::RngDiscipline,
-                    off,
-                    format!(
-                        "`{pat}`: {why}; construct RNGs with `seed_from_u64` (or a \
-                         documented child-stream derivation) so runs replay"
-                    ),
-                );
-            }
-        }
-        // `some_rng.clone()` forks a stream into two identical ones:
-        // both sides then draw the same sequence, silently correlating
-        // results. Derive a child stream from a fresh seed instead.
-        for off in find_all(code, ".clone(", false) {
-            if self.in_test_region(off) {
-                continue;
-            }
-            let Some(recv) = prev_word(code, off) else {
-                continue;
-            };
-            if recv.to_ascii_lowercase().contains("rng") {
-                self.push(
-                    Rule::RngDiscipline,
-                    off,
-                    format!(
-                        "`{recv}.clone()` duplicates an RNG stream (both copies draw \
-                         identical sequences); derive a child RNG from a fresh seed instead"
-                    ),
-                );
-            }
-        }
-    }
-
     /// R8 — float ordering (workspace-wide): comparator chains must go
     /// through `total_cmp`, never `partial_cmp(..).unwrap()`.
     pub fn rule_float_order(&mut self) {
@@ -511,28 +355,10 @@ impl<'a> FileScan<'a> {
         }
     }
 
-    /// R9 — shared-state prep in crates slated for thread-sharding.
-    pub fn rule_shared_state(&mut self) {
-        let code = &self.masked.code;
-        for &(pat, why) in SHARED_STATE_PATTERNS {
-            for off in find_all(code, pat, true) {
-                if self.in_test_region(off) {
-                    continue;
-                }
-                self.push(
-                    Rule::SharedState,
-                    off,
-                    format!(
-                        "`{pat}` in a crate slated for thread-sharding: {why}; keep \
-                         state owned (or annotate with lint:allow(shared_state))"
-                    ),
-                );
-            }
-        }
-    }
-
     /// Apply suppressions and drain results into the caller's buffers.
-    /// Returns the number of suppressed violations.
+    /// Returns the number of suppressed violations. An annotation that
+    /// suppressed nothing is reported as R0: a stale suppression would
+    /// otherwise silently cover the next violation on its line.
     pub fn finish(mut self, rel_path: &str, out: &mut Vec<Violation>) -> usize {
         let mut suppressed = 0usize;
         for (rule, line, message) in std::mem::take(&mut self.candidates) {
@@ -549,6 +375,19 @@ impl<'a> FileScan<'a> {
         }
         for (line, message) in self.syntax_errors {
             out.push(Violation::new(Rule::AllowSyntax, rel_path, line, message));
+        }
+        for a in self.allows.iter().filter(|a| !a.used) {
+            out.push(Violation::new(
+                Rule::AllowSyntax,
+                rel_path,
+                a.line,
+                format!(
+                    "unused `lint:allow({})` annotation: no {} violation on the line it \
+                     covers; delete it",
+                    a.rule.slug(),
+                    a.rule.id()
+                ),
+            ));
         }
         suppressed
     }
@@ -573,22 +412,11 @@ pub fn scan_file(
     out: &mut Vec<Violation>,
 ) -> ScanOutput {
     let mut scan = FileScan::new(masked);
-    let lib_rules = spec.kind == CrateKind::Library && !file.is_bin;
-    if lib_rules {
-        scan.rule_panic();
+    if spec.kind == CrateKind::Library && !file.is_bin {
         scan.rule_error_hygiene();
     }
-    if spec.hot_path && !file.is_bin {
-        scan.rule_determinism();
-        scan.rule_shared_state();
-    }
     scan.rule_alloc_hygiene();
-    scan.rule_rng_discipline();
     scan.rule_float_order();
-    scan.rule_unsafe_tokens();
-    if file.is_lib_root {
-        scan.rule_forbid_attr(&file.rel_path);
-    }
     let metrics = scan.rule_obs_collect();
     let spans = scan.rule_span_collect();
     ScanOutput {
@@ -669,7 +497,7 @@ pub fn valid_metric_charset(name: &str) -> bool {
 /// All occurrences of `pat` in `code`, optionally requiring a
 /// non-identifier byte immediately before, and always requiring a
 /// non-identifier byte immediately after the pattern's last
-/// identifier character (so `HashMap` does not match `HashMapShim`).
+/// identifier character (so `Vec::new` does not match `Vec::new_in`).
 fn find_all(code: &str, pat: &str, boundary_before: bool) -> Vec<usize> {
     let mut out = Vec::new();
     let bytes = code.as_bytes();
@@ -833,35 +661,6 @@ mod tests {
     }
 
     #[test]
-    fn panic_rule_fires_outside_tests_only() {
-        let src = "fn a() { x.unwrap(); }\n#[cfg(test)]\nmod t { fn b() { y.unwrap(); } }\n";
-        let v = scan_candidates(src, |s| s.rule_panic());
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].1, 1);
-    }
-
-    #[test]
-    fn unwrap_or_variants_do_not_fire() {
-        let src = "fn a() { x.unwrap_or(0); y.unwrap_or_else(|| 1); z.unwrap_or_default(); }";
-        assert!(scan_candidates(src, |s| s.rule_panic()).is_empty());
-    }
-
-    #[test]
-    fn expect_err_and_should_panic_do_not_fire() {
-        let src = "fn a() { r.expect_err(\"no\"); } // #[should_panic] mentioned\n";
-        assert!(scan_candidates(src, |s| s.rule_panic()).is_empty());
-    }
-
-    #[test]
-    fn determinism_rule_catches_hashmap_but_not_btreemap() {
-        let src = "use std::collections::{BTreeMap, HashMap};\nfn f(m: &HashMap<u8, u8>) {}\n";
-        let v = scan_candidates(src, |s| s.rule_determinism());
-        assert_eq!(v.len(), 2);
-        let src2 = "use std::collections::BTreeMap;\nstruct MyHashMapLike;";
-        assert!(scan_candidates(src2, |s| s.rule_determinism()).is_empty());
-    }
-
-    #[test]
     fn alloc_hygiene_fires_only_inside_zero_alloc_bodies() {
         let src = "\
 // lint:zero_alloc
@@ -899,23 +698,6 @@ mod tests {
     }
 
     #[test]
-    fn rng_discipline_catches_ambient_and_cloned_rngs() {
-        let src = "\
-fn a() { let mut r = rand::thread_rng(); }
-fn b() { let r = SmallRng::from_entropy(); }
-fn c(rng: &SmallRng) { let fork = rng.clone(); }
-fn d(data: &[u8]) { let copy = data.clone(); }
-fn e() { let r = SmallRng::seed_from_u64(7); }
-";
-        let v = scan_candidates(src, |s| s.rule_rng_discipline());
-        assert_eq!(v.len(), 3, "{v:?}");
-        assert_eq!(v[0].1, 1);
-        assert_eq!(v[1].1, 2);
-        assert_eq!(v[2].1, 3);
-        assert!(v[2].2.contains("rng.clone()"));
-    }
-
-    #[test]
     fn float_order_flags_each_site_exactly_once() {
         let src = "\
 fn a(xs: &mut [f64]) {
@@ -944,44 +726,51 @@ impl PartialOrd for Key {
     }
 
     #[test]
-    fn shared_state_flags_interior_mutability_outside_tests() {
-        let src = "\
-use std::rc::Rc;
-fn a() { let c = std::cell::RefCell::new(1); }
-#[cfg(test)]
-mod tests {
-    fn t() { let c = std::cell::Cell::new(1); }
-}
-";
-        let v = scan_candidates(src, |s| s.rule_shared_state());
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert_eq!(v[0].1, 1);
-        assert_eq!(v[1].1, 2);
-    }
-
-    #[test]
     fn allow_suppresses_same_and_next_line() {
         let src = "\
-fn a() {
-    // lint:allow(panic): documented invariant, validated upstream
-    x.unwrap();
-    y.expect(\"boom\"); // lint:allow(panic): second documented invariant
-    z.unwrap();
+// lint:zero_alloc
+fn a(v: &mut Vec<u8>) {
+    // lint:allow(alloc_hygiene): pre-reserved by the caller
+    v.push(1);
+    v.push(2); // lint:allow(alloc_hygiene): same reservation
+    v.push(3);
 }
 ";
         let m = mask(src);
         let mut s = FileScan::new(&m);
-        s.rule_panic();
+        s.rule_alloc_hygiene();
         let mut out = Vec::new();
         let suppressed = s.finish("f.rs", &mut out);
         assert_eq!(suppressed, 2);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].line, 5);
+        assert_eq!(out[0].line, 6);
+    }
+
+    #[test]
+    fn unused_allow_is_reported() {
+        let src = "\
+// lint:zero_alloc
+fn a(v: &mut [u8]) {
+    // lint:allow(alloc_hygiene): stale, the push below was removed
+    v[0] = 1;
+    v.push(2); // lint:allow(alloc_hygiene): this one is used
+}
+";
+        let m = mask(src);
+        let mut s = FileScan::new(&m);
+        s.rule_alloc_hygiene();
+        let mut out = Vec::new();
+        let suppressed = s.finish("f.rs", &mut out);
+        assert_eq!(suppressed, 1);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].rule, "R0");
+        assert_eq!(out[0].line, 3);
+        assert!(out[0].message.contains("unused"), "{}", out[0].message);
     }
 
     #[test]
     fn malformed_allow_is_reported() {
-        let src = "// lint:allow(panic) no colon reason\nfn a() {}\n";
+        let src = "// lint:allow(alloc_hygiene) no colon reason\nfn a() {}\n";
         let m = mask(src);
         let s = FileScan::new(&m);
         let mut out = Vec::new();

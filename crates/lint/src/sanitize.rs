@@ -1,7 +1,8 @@
 //! Runtime determinism sanitizer (`chainnet-lint --sanitize <stage>`).
 //!
-//! The static rules (R2, R7, R8) ban the *sources* of nondeterminism
-//! they can see; this module checks the *outcome*: it runs a CLI stage
+//! The static rules (R2 and R7 in clippy and the type system, R8 in
+//! this crate) ban the *sources* of nondeterminism they can see; this
+//! module checks the *outcome*: it runs a CLI stage
 //! twice with identical arguments and seed and diffs the artifacts.
 //! CI builds the CLI under `[profile.sanitize]` (release +
 //! `overflow-checks` + `debug-assertions`), so the gate simultaneously

@@ -3,15 +3,16 @@
 //!
 //! Classification drives rule applicability:
 //!
-//! * **Library** crates promise panic-freedom (R1) and typed errors
-//!   (R5) in their non-test `src/` code.
+//! * **Library** crates promise typed errors (R5) in their non-test,
+//!   non-binary `src/` code.
 //! * **Harness** crates (the bench harness and the workspace-root
-//!   suite binary glue) are exempt from R1/R5 — a figure-reproduction
-//!   binary failing fast on a corrupt cache file is fine — but still
-//!   subject to the unsafe ban (R3) and obs-schema checks (R4).
-//! * **Hot-path** crates additionally promise determinism (R2):
-//!   given a seed, no wall clock, ambient RNG or unordered-map
-//!   iteration may influence results.
+//!   suite binary glue) are exempt from R5 — a figure-reproduction
+//!   binary failing fast on a corrupt cache file is fine.
+//!
+//! R4, R6 and R8 apply to every crate. Panic-freedom (R1), the unsafe
+//! ban (R3) and the hot-path determinism and shared-state bans (R2,
+//! R9) are rustc/clippy lints configured per crate; see
+//! `docs/lint_rules.md`.
 //!
 //! Vendored shim crates under `vendor/` are out of scope: they mimic
 //! external APIs and are audited separately (see `vendor/README.md`).
@@ -22,9 +23,9 @@ use std::path::{Path, PathBuf};
 /// How a crate's non-test library code is held to the rule set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrateKind {
-    /// Full rule set: R1, R3, R4, R5 (and R2 if hot-path).
+    /// Full rule set: R4, R5, R6, R8.
     Library,
-    /// R3 + R4 only (fail-fast binaries and experiment harnesses).
+    /// R4, R6, R8 (fail-fast binaries and experiment harnesses).
     Harness,
 }
 
@@ -38,8 +39,6 @@ pub struct CrateSpec {
     pub rel_dir: PathBuf,
     /// Rule profile.
     pub kind: CrateKind,
-    /// Whether R2 (determinism) applies.
-    pub hot_path: bool,
 }
 
 /// The workspace to lint.
@@ -55,45 +54,43 @@ pub struct WorkspaceSpec {
 }
 
 impl CrateSpec {
-    fn new(name: &str, rel_dir: &str, kind: CrateKind, hot_path: bool) -> Self {
+    fn new(name: &str, rel_dir: &str, kind: CrateKind) -> Self {
         CrateSpec {
             name: name.to_string(),
             rel_dir: PathBuf::from(rel_dir),
             kind,
-            hot_path,
         }
     }
 }
 
 impl WorkspaceSpec {
-    /// The ChainNet workspace layout, hard-coded. The six library
-    /// crates carry the paper's correctness claims; `qsim`, `neural`,
-    /// `placement` and `core` are the seed-reproducibility hot paths
-    /// (label generation, training, search — Tables V/VI).
+    /// The ChainNet workspace layout, hard-coded. The library crates
+    /// carry the paper's correctness claims; the bench harness and the
+    /// root suite are harnesses.
     pub fn chainnet(root: impl Into<PathBuf>) -> Self {
         use CrateKind::{Harness, Library};
         WorkspaceSpec {
             root: root.into(),
             crates: vec![
-                CrateSpec::new("chainnet-obs", "crates/obs", Library, false),
-                CrateSpec::new("chainnet-ckpt", "crates/ckpt", Library, false),
-                CrateSpec::new("chainnet-qsim", "crates/qsim", Library, true),
-                CrateSpec::new("chainnet-neural", "crates/neural", Library, true),
-                CrateSpec::new("chainnet", "crates/core", Library, true),
-                CrateSpec::new("chainnet-placement", "crates/placement", Library, true),
-                CrateSpec::new("chainnet-datagen", "crates/datagen", Library, false),
-                CrateSpec::new("chainnet-serve", "crates/serve", Library, false),
-                CrateSpec::new("chainnet-lint", "crates/lint", Library, false),
-                CrateSpec::new("chainnet-bench", "crates/bench", Harness, false),
-                CrateSpec::new("chainnet-suite", ".", Harness, false),
+                CrateSpec::new("chainnet-obs", "crates/obs", Library),
+                CrateSpec::new("chainnet-ckpt", "crates/ckpt", Library),
+                CrateSpec::new("chainnet-qsim", "crates/qsim", Library),
+                CrateSpec::new("chainnet-neural", "crates/neural", Library),
+                CrateSpec::new("chainnet", "crates/core", Library),
+                CrateSpec::new("chainnet-placement", "crates/placement", Library),
+                CrateSpec::new("chainnet-datagen", "crates/datagen", Library),
+                CrateSpec::new("chainnet-serve", "crates/serve", Library),
+                CrateSpec::new("chainnet-lint", "crates/lint", Library),
+                CrateSpec::new("chainnet-bench", "crates/bench", Harness),
+                CrateSpec::new("chainnet-suite", ".", Harness),
             ],
             obs_readme: Some(PathBuf::from("crates/obs/README.md")),
         }
     }
 
     /// Discover a fixture workspace: every directory under
-    /// `<root>/crates/` with a `src/` is treated as a hot-path
-    /// library crate (the strictest profile), and
+    /// `<root>/crates/` with a `src/` is treated as a library crate
+    /// (the strictest profile), and
     /// `<root>/crates/obs/README.md` is used for R4 when present.
     /// Used by the violation-fixture integration tests and the
     /// `--fixture-root` CLI mode.
@@ -116,7 +113,6 @@ impl WorkspaceSpec {
                 &name,
                 &format!("crates/{name}"),
                 CrateKind::Library,
-                true,
             ));
         }
         if crates.is_empty() {
@@ -144,11 +140,8 @@ pub struct SourceFile {
     /// Absolute path.
     pub abs_path: PathBuf,
     /// Whether this file is a binary entry point (`src/main.rs`,
-    /// `src/bin/**`) — exempt from R1/R5 like harness code.
+    /// `src/bin/**`) — exempt from R5 like harness code.
     pub is_bin: bool,
-    /// Whether this is the crate's library root (`src/lib.rs`),
-    /// which must carry `#![forbid(unsafe_code)]` (R3).
-    pub is_lib_root: bool,
 }
 
 /// Collect the `.rs` files of one crate's `src/` tree, sorted by
@@ -174,7 +167,6 @@ pub fn crate_sources(root: &Path, spec: &CrateSpec) -> Result<Vec<SourceFile>, L
             };
             SourceFile {
                 is_bin: rel_to_src == "main.rs" || rel_to_src.starts_with("bin/"),
-                is_lib_root: rel_to_src == "lib.rs",
                 rel_path,
                 abs_path: abs,
             }

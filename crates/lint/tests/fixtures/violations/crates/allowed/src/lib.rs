@@ -1,19 +1,7 @@
-#![forbid(unsafe_code)]
 //! Fixture crate where every would-be violation carries a well-formed
-//! `lint:allow` annotation — must contribute zero violations and a
-//! positive suppressed count.
-
-pub fn allowed_panics(x: Option<u8>) -> u8 {
-    // lint:allow(panic): fixture — invariant documented here
-    let a = x.unwrap();
-    let b = x.expect("boom"); // lint:allow(panic): fixture — trailing annotation form
-    a.max(b)
-}
-
-pub fn allowed_clock() -> std::time::Instant {
-    // lint:allow(determinism): fixture — watchdog-style wall-clock read
-    std::time::Instant::now()
-}
+//! `lint:allow` annotation — contributes no rule violation and a
+//! positive suppressed count. The one exception is a stale annotation
+//! that suppresses nothing, which is reported as R0.
 
 // lint:allow(error_hygiene): fixture — legacy API kept for compatibility
 pub fn allowed_stringly() -> Result<(), String> {
@@ -29,20 +17,13 @@ pub fn allowed_alloc() -> Vec<u8> {
     v
 }
 
-pub fn allowed_rng() -> StdRng {
-    // lint:allow(rng_discipline): fixture — entropy seeding behind explicit opt-in
-    StdRng::from_entropy()
-}
-
 pub fn allowed_float(xs: &mut [f64]) {
-    // lint:allow(panic): fixture — comparator is total on this data
-    // lint:allow(float_order): fixture — stacked annotations each
-    // cover the first code line after the comment block
+    // lint:allow(float_order): fixture — comparator is total on this data
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }
 
-// lint:allow(shared_state): fixture — single-threaded scratch cache
-pub fn allowed_shared() -> std::rc::Rc<u8> {
-    // lint:allow(shared_state): fixture — same cache, constructor site
-    std::rc::Rc::new(7)
+// lint:zero_alloc
+pub fn stale_allow(buf: &mut [u8]) {
+    // lint:allow(alloc_hygiene): fixture — stale, nothing below allocates
+    buf[0] = 1;
 }

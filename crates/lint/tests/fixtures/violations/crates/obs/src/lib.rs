@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Fixture obs crate: registers one properly documented metric.
 
 pub struct Registry;

@@ -7,23 +7,23 @@ use chainnet_lint::rules::FileScan;
 use chainnet_lint::tokenizer::mask;
 use proptest::prelude::*;
 
-/// Source fragments that *mention* every banned pattern but only in
+/// Source fragments that *mention* every rule's pattern but only in
 /// masked positions (comments, strings, raw strings, char literals).
 const MASKED_FRAGMENTS: &[&str] = &[
-    "// line comment with .unwrap() and panic! and todo!\n",
-    "/// doc comment: .expect(\"x\") and unimplemented! here\n",
-    "//! inner doc: Instant::now() SystemTime::now thread_rng\n",
-    "/* block with .unwrap() and HashMap and unsafe */\n",
-    "/* nested /* .expect( SystemTime::now */ HashSet */\n",
-    "let s = \".unwrap() panic! todo! unimplemented! unsafe\";\n",
-    "let e = \"escaped quote \\\" then .expect( and more\";\n",
-    "let r = r#\"raw \"quoted\" .unwrap() Instant::now\"#;\n",
-    "let r2 = r\"raw no-hash thread_rng HashMap\";\n",
-    "let b = b\"byte string with panic! inside\";\n",
-    "let multi = \"line one\n.unwrap() on line two\npanic! on three\";\n",
-    "let cs = c\"panic! .unwrap() inside a c-string\";\n",
-    "let crs = cr#\"raw c \"quoted\" .expect( thread_rng from_entropy\"#;\n",
-    "let cb = c\"RefCell Rc static mut partial_cmp\";\n",
+    "// line comment with a.partial_cmp(b).unwrap() and r.gauge(\"Bad-Name\")\n",
+    "/// doc comment: pub fn f() -> Result<(), String> here\n",
+    "//! inner doc: xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(o))\n",
+    "/* block with .partial_cmp(b).expect(\"nan\") and .span(\"Bad Span\") */\n",
+    "/* nested /* .max_by(|a, b| a.partial_cmp(b)) */ -> Result<u8, Box<dyn Error>> */\n",
+    "let s = \"a.partial_cmp(b).unwrap() pub fn g() -> Result<(), String>\";\n",
+    "let e = \"escaped quote \\\" then .partial_cmp(b).unwrap() and more\";\n",
+    "let r = r#\"raw \"quoted\" .counter(\"Bad-Name\") .partial_cmp(b).unwrap()\"#;\n",
+    "let r2 = r\"raw no-hash .min_by(|a, b| a.partial_cmp(b).unwrap_or(o))\";\n",
+    "let b = b\"byte string with .partial_cmp(b).unwrap() inside\";\n",
+    "let multi = \"line one\n.partial_cmp(b).unwrap() on line two\npub fn h() -> Result<(), String>\";\n",
+    "let cs = c\"xs.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(o)) in a c-string\";\n",
+    "let crs = cr#\"raw c \"quoted\" .gauge(\"Bad-Name\") .partial_cmp(b).expect(\"x\")\"#;\n",
+    "let cb = c\"pub fn k() -> Result<(), Box<dyn Error>> { Ok(()) }\";\n",
 ];
 
 /// Benign code fragments (no banned patterns at all) used as filler,
@@ -57,16 +57,14 @@ fn assemble(choices: &[(bool, usize)]) -> String {
 }
 
 /// Count the violations the region-insensitive rules produce
-/// (panic, determinism, RNG, float-order, shared-state, unsafe).
+/// (metric and span name charset, error hygiene, float order).
 fn violation_count(src: &str) -> usize {
     let masked = mask(src);
     let mut scan = FileScan::new(&masked);
-    scan.rule_panic();
-    scan.rule_determinism();
-    scan.rule_rng_discipline();
+    scan.rule_obs_collect();
+    scan.rule_span_collect();
+    scan.rule_error_hygiene();
     scan.rule_float_order();
-    scan.rule_shared_state();
-    scan.rule_unsafe_tokens();
     let mut out = Vec::new();
     scan.finish("generated.rs", &mut out);
     out.len()
@@ -93,7 +91,7 @@ proptest! {
         choices in proptest::collection::vec((proptest::bool::ANY, 0usize..64), 0..16)
     ) {
         let mut src = assemble(&choices);
-        src.push_str("pub fn tail(v: Option<u8>) -> u8 { v.unwrap() }\n");
+        src.push_str("pub fn tail(xs: &mut [f64]) { xs.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n");
         let n = violation_count(&src);
         prop_assert!(n == 1, "expected exactly 1 violation in:\n{src}");
     }

@@ -1,5 +1,10 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 //! Observability layer for the ChainNet workspace: metrics, scoped
 //! timers and structured event logging with zero external dependencies

@@ -1,5 +1,10 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 //! Loss-aware placement optimization: the simulated-annealing search of
 //! Section VII of the ChainNet paper, generic over an objective evaluator

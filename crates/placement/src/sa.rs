@@ -286,8 +286,11 @@ fn finite_or_min(x: f64) -> f64 {
 /// telemetry timer routes through here so determinism review has a
 /// single audited site; elapsed time bounds runtime and feeds metrics
 /// but never feeds search results.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock budget watchdog / telemetry timer (never feeds results)"
+)]
 fn wall_timer() -> Instant {
-    // lint:allow(determinism): wall-clock budget watchdog / telemetry timer (never feeds results)
     Instant::now()
 }
 

@@ -1,5 +1,10 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 //! Discrete-event simulator for finite-buffer, multi-chain open queueing
 //! networks — the ground-truth substrate of the ChainNet reproduction.

@@ -78,8 +78,11 @@ impl SimConfig {
     /// # Panics
     ///
     /// Panics if `horizon` is not finite and positive.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract; try_new is the fallible path"
+    )]
     pub fn new(horizon: f64, seed: u64) -> Self {
-        // lint:allow(panic): documented panic contract; try_new is the fallible path
         Self::try_new(horizon, seed).expect("horizon must be finite and positive")
     }
 
@@ -545,7 +548,10 @@ impl Simulator {
         let mut batch_completions = vec![vec![0u64; batches]; num_chains];
         let mut trace = Trace::with_capacity(config.trace_capacity);
         let mut processed: u64 = 0;
-        // lint:allow(determinism): wall-clock budget watchdog (bounds runtime; never feeds results)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock budget watchdog (bounds runtime; never feeds results)"
+        )]
         let start_wall = Instant::now();
         let mut budget_tripped: Option<BudgetReason> = None;
         // End of the actually simulated window (shrinks on a budget trip).
@@ -620,11 +626,14 @@ impl Simulator {
                     }
                     debug_assert!(station.busy > 0, "departure from idle station");
                     station.busy -= 1;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "scheduler invariant — every departure with a live epoch was admitted"
+                    )]
                     let slot = station
                         .in_service
                         .iter()
                         .position(|j| j.serial == job.serial)
-                        // lint:allow(panic): scheduler invariant — every departure with a live epoch was admitted
                         .expect("a departing job with a live epoch is registered in-service");
                     station.in_service.swap_remove(slot);
                     let mem = tables.mem_need[tables.slot(job.chain, job.frag)];
@@ -1584,6 +1593,10 @@ mod tests {
         // typed error and meaningful partial statistics quickly.
         let model = single_station(50.0, 1.0, 100.0);
         let cfg = SimConfig::new(1e9, 3).with_max_events(20_000);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test-only: times the watchdog; never feeds results"
+        )]
         let start = std::time::Instant::now();
         let err = Simulator::new().run(&model, &cfg).unwrap_err();
         assert!(start.elapsed().as_secs_f64() < 1.0, "watchdog too slow");

@@ -29,7 +29,13 @@
 //! semantics, and `examples/soak.rs` (workspace root) for the chaos
 //! harness that exercises all of it.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![deny(missing_docs)]
 
 pub mod daemon;

@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 //! Umbrella crate for the ChainNet reproduction workspace.
 //!
 //! Re-exports the member crates under short names so examples and
