@@ -29,7 +29,8 @@ use chainnet_qsim::model::{Device, Fragment, Placement, ServiceChain, SystemMode
 use chainnet_qsim::sim::{SimConfig, Simulator};
 use std::time::Instant;
 
-/// Same steady-state scenario as `hotpath_report`: shared devices,
+/// The BENCH_PR5 event-loop scenario (perfbench's
+/// `qsim.events_per_s.hotpath` probe): shared devices,
 /// multi-fragment chains, enough contention to keep the event loop hot.
 fn scenario() -> SystemModel {
     let devices = vec![

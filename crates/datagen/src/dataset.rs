@@ -290,30 +290,6 @@ fn same_sweep(a: &DatasetConfig, b: &DatasetConfig) -> bool {
         && a.labels == b.labels
 }
 
-/// [`generate_raw_dataset`] with crash-safe shard checkpointing and no
-/// telemetry; see
-/// [`generate_raw_dataset_sharded_observed`].
-///
-/// # Errors
-///
-/// See [`generate_raw_dataset_sharded_observed`].
-pub fn generate_raw_dataset_sharded(
-    params: NetworkParams,
-    config: &DatasetConfig,
-    shard_size: usize,
-    store: &CkptStore,
-    resume: bool,
-) -> Result<Vec<RawSample>, DatagenError> {
-    generate_raw_dataset_sharded_observed(
-        params,
-        config,
-        shard_size,
-        store,
-        resume,
-        &Obs::disabled(),
-    )
-}
-
 /// [`generate_raw_dataset_observed`] split into shards of `shard_size`
 /// samples, each persisted to `store` as soon as it completes (shard
 /// `s` is checkpoint sequence `s + 1`). A sweep killed partway and
@@ -501,6 +477,17 @@ mod tests {
         dir
     }
 
+    /// A sharded Type I sweep without telemetry.
+    fn sharded_type_i(
+        cfg: &DatasetConfig,
+        shard_size: usize,
+        store: &CkptStore,
+        resume: bool,
+    ) -> Result<Vec<RawSample>, DatagenError> {
+        let (params, obs) = (NetworkParams::type_i(), Obs::disabled());
+        generate_raw_dataset_sharded_observed(params, cfg, shard_size, store, resume, &obs)
+    }
+
     #[test]
     fn sharded_generation_matches_unsharded() {
         let cfg = DatasetConfig::new(10, 21)
@@ -509,8 +496,7 @@ mod tests {
         let plain = generate_raw_dataset(NetworkParams::type_i(), &cfg).unwrap();
         let dir = ckpt_tmp_dir("plain");
         let store = CkptStore::open(&dir, "shard", DATAGEN_CKPT_SCHEMA).unwrap();
-        let sharded =
-            generate_raw_dataset_sharded(NetworkParams::type_i(), &cfg, 4, &store, false).unwrap();
+        let sharded = sharded_type_i(&cfg, 4, &store, false).unwrap();
         assert_eq!(plain, sharded);
         assert_eq!(store.list().unwrap(), vec![1, 2, 3]);
         let _ = std::fs::remove_dir_all(&dir);
@@ -523,9 +509,7 @@ mod tests {
             .with_threads(2);
         let dir_full = ckpt_tmp_dir("skip-full");
         let full_store = CkptStore::open(&dir_full, "shard", DATAGEN_CKPT_SCHEMA).unwrap();
-        let full =
-            generate_raw_dataset_sharded(NetworkParams::type_i(), &cfg, 4, &full_store, false)
-                .unwrap();
+        let full = sharded_type_i(&cfg, 4, &full_store, false).unwrap();
 
         // A kill after two shards leaves exactly those files behind.
         let dir_cut = ckpt_tmp_dir("skip-cut");
@@ -562,8 +546,7 @@ mod tests {
             .with_threads(2);
         let dir = ckpt_tmp_dir("corrupt");
         let store = CkptStore::open(&dir, "shard", DATAGEN_CKPT_SCHEMA).unwrap();
-        let full =
-            generate_raw_dataset_sharded(NetworkParams::type_i(), &cfg, 3, &store, false).unwrap();
+        let full = sharded_type_i(&cfg, 3, &store, false).unwrap();
         // Flip one payload bit in shard 1.
         let path = store.path_of(1);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -571,8 +554,7 @@ mod tests {
         bytes[mid] ^= 0x04;
         std::fs::write(&path, &bytes).unwrap();
 
-        let resumed =
-            generate_raw_dataset_sharded(NetworkParams::type_i(), &cfg, 3, &store, true).unwrap();
+        let resumed = sharded_type_i(&cfg, 3, &store, true).unwrap();
         assert_eq!(full, resumed);
         assert!(
             dir.join("shard-00000001.ckpt.corrupt").exists(),
@@ -592,23 +574,20 @@ mod tests {
         let dir = ckpt_tmp_dir("typed");
         let store = CkptStore::open(&dir, "shard", DATAGEN_CKPT_SCHEMA).unwrap();
         // Zero shard size.
-        let err = generate_raw_dataset_sharded(NetworkParams::type_i(), &cfg, 0, &store, false)
-            .unwrap_err();
+        let err = sharded_type_i(&cfg, 0, &store, false).unwrap_err();
         assert_eq!(err, DatagenError::Checkpoint(CkptError::InvalidCadence));
         // Resume with no shards on disk.
-        let err = generate_raw_dataset_sharded(NetworkParams::type_i(), &cfg, 2, &store, true)
-            .unwrap_err();
+        let err = sharded_type_i(&cfg, 2, &store, true).unwrap_err();
         assert!(matches!(
             err,
             DatagenError::Checkpoint(CkptError::NoCheckpoint { .. })
         ));
         // Resume of a different sweep (changed seed).
-        generate_raw_dataset_sharded(NetworkParams::type_i(), &cfg, 2, &store, false).unwrap();
+        sharded_type_i(&cfg, 2, &store, false).unwrap();
         let other = DatasetConfig::new(4, 32)
             .with_horizon(150.0)
             .with_threads(1);
-        let err = generate_raw_dataset_sharded(NetworkParams::type_i(), &other, 2, &store, true)
-            .unwrap_err();
+        let err = sharded_type_i(&other, 2, &store, true).unwrap_err();
         assert!(matches!(
             err,
             DatagenError::Checkpoint(CkptError::ResumeMismatch { .. })

@@ -19,7 +19,7 @@ pub enum DatagenError {
     EmptyDataset,
     /// A shard checkpoint could not be saved, loaded, or matched to the
     /// requested sweep (see
-    /// [`generate_raw_dataset_sharded`](crate::dataset::generate_raw_dataset_sharded)).
+    /// [`generate_raw_dataset_sharded_observed`](crate::dataset::generate_raw_dataset_sharded_observed)).
     Checkpoint(CkptError),
     /// Cooperative cancellation (`obs.cancel`, e.g. a SIGTERM handler)
     /// stopped a sharded sweep at a shard boundary. Every shard

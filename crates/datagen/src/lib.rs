@@ -38,8 +38,8 @@ pub mod typesets;
 
 pub use case_study::{case_study_dnns, case_study_problem, DeviceSpec, DnnSpec};
 pub use dataset::{
-    generate_raw_dataset, generate_raw_dataset_sharded, to_labeled, DatasetConfig, LabelSource,
-    RawSample, ShardCheckpoint, DATAGEN_CKPT_SCHEMA,
+    generate_raw_dataset, to_labeled, DatasetConfig, LabelSource, RawSample, ShardCheckpoint,
+    DATAGEN_CKPT_SCHEMA,
 };
 pub use error::DatagenError;
 pub use problems::{ProblemGenerator, ProblemParams};

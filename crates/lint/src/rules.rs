@@ -907,15 +907,15 @@ fn f(t: &Tracer, obs: &Obs) {
         }
     }
 
-    /// The PR-5 hot-path metrics must stay in the canonical schema:
-    /// collected from code by R4, charset-clean, and documented in the
-    /// workspace obs README.
+    /// The hot-path throughput metrics the code emits (the simulator's
+    /// event rate and SA's batched evaluator calls) must stay in the
+    /// canonical schema: collected from code by R4, charset-clean, and
+    /// documented in the workspace obs README.
     #[test]
-    fn hotpath_bench_metrics_are_in_the_canonical_schema() {
+    fn hotpath_metrics_are_in_the_canonical_schema() {
         let src = "\
 fn f(r: &Registry, obs: &Obs) {
-    r.gauge(\"sim.events_per_sec\").set(1.0);
-    r.gauge(\"neural.matmul_ns\").set(2.0);
+    r.gauge(\"qsim.events_per_sec\").set(1.0);
     obs.registry.counter(\"sa.batch_evals\").inc();
 }
 ";
@@ -923,7 +923,7 @@ fn f(r: &Registry, obs: &Obs) {
         let mut s = FileScan::new(&m);
         let used = s.rule_obs_collect();
         let names: Vec<_> = used.iter().map(|(n, _)| n.as_str()).collect();
-        for name in ["sim.events_per_sec", "neural.matmul_ns", "sa.batch_evals"] {
+        for name in ["qsim.events_per_sec", "sa.batch_evals"] {
             assert!(names.contains(&name), "{name} not collected");
             assert!(valid_metric_charset(name), "{name} charset");
         }
@@ -933,7 +933,7 @@ fn f(r: &Registry, obs: &Obs) {
             std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../obs/README.md"))
                 .expect("workspace obs README");
         let documented = readme_metric_names(&readme);
-        for name in ["sim.events_per_sec", "neural.matmul_ns", "sa.batch_evals"] {
+        for name in ["qsim.events_per_sec", "sa.batch_evals"] {
             assert!(
                 documented.contains_key(name),
                 "{name} missing from crates/obs/README.md metric table"

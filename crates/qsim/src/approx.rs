@@ -144,13 +144,16 @@ pub fn solve(model: &SystemModel, config: &ApproxConfig) -> ApproxResult {
         let mut max_delta = 0.0f64;
         for k in 0..num_devices {
             let new_loss = if arrival[k] <= 0.0 {
-                0.0
+                Some(0.0)
             } else {
-                let mean_service = weighted_service[k] / arrival[k];
-                let mu = 1.0 / mean_service.max(1e-12);
-                analytic::mm1k_loss_probability(arrival[k], mu, capacity[k])
+                effective_service_rate(arrival[k], weighted_service[k])
+                    .map(|mu| analytic::mm1k_loss_probability(arrival[k], mu, capacity[k]))
             };
-            let damped = config.damping * new_loss + (1.0 - config.damping) * device_loss[k];
+            // A stalled device's loss is its exact limit, not an iterate.
+            let damped = match new_loss {
+                Some(loss) => config.damping * loss + (1.0 - config.damping) * device_loss[k],
+                None => 1.0,
+            };
             max_delta = max_delta.max((damped - device_loss[k]).abs());
             device_loss[k] = damped;
         }
@@ -180,9 +183,10 @@ pub fn solve(model: &SystemModel, config: &ApproxConfig) -> ApproxResult {
             if arrival[k] <= 0.0 {
                 0.0
             } else {
-                let mean_service = weighted_service[k] / arrival[k];
-                let mu = 1.0 / mean_service.max(1e-12);
-                analytic::mm1k_response_time(arrival[k], mu, capacity[k])
+                effective_service_rate(arrival[k], weighted_service[k])
+                    .map_or(f64::INFINITY, |mu| {
+                        analytic::mm1k_response_time(arrival[k], mu, capacity[k])
+                    })
             }
         })
         .collect();
@@ -220,6 +224,20 @@ pub fn solve(model: &SystemModel, config: &ApproxConfig) -> ApproxResult {
     }
 }
 
+/// The M/M/1/K service rate of a device with aggregate arrival rate
+/// `arrival > 0` and flow-weighted service-time sum `weighted_service`,
+/// or `None` when its mean service time is not finite: the device's
+/// service rate is degraded so far that processing times overflow to
+/// infinity (NaN where such a fragment carries no flow). Such a device
+/// takes the `mu -> 0` limit: it drops every arrival, so the chains
+/// through it carry throughput 0, and a job in it never completes.
+fn effective_service_rate(arrival: f64, weighted_service: f64) -> Option<f64> {
+    let mean_service = weighted_service / arrival;
+    mean_service
+        .is_finite()
+        .then(|| 1.0 / mean_service.max(1e-12))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,6 +260,36 @@ mod tests {
         assert!((res.chains[0].loss_probability - exact).abs() < 1e-9);
         let exact_w = analytic::mm1k_response_time(0.9, 1.0, 5);
         assert!((res.chains[0].latency - exact_w).abs() < 1e-9);
+    }
+
+    #[test]
+    fn stalled_device_drops_everything_without_panicking() {
+        // 1/1e-320 overflows: the device's effective service rate is 0.
+        let model = single_station(0.9, 1e-320, 5.0);
+        let res = solve(&model, &ApproxConfig::default());
+        assert_eq!(res.device_loss, vec![1.0]);
+        assert_eq!(res.chains[0].throughput, 0.0);
+        assert_eq!(res.chains[0].loss_probability, 1.0);
+        assert_eq!(res.chains[0].latency, f64::INFINITY);
+        assert_eq!(res.total_throughput, 0.0);
+        assert!(res.converged);
+
+        // A chain on a healthy device next to it keeps its exact answer.
+        let devices = vec![
+            Device::new(5.0, 1e-320).unwrap(),
+            Device::new(5.0, 1.0).unwrap(),
+        ];
+        let frag = || vec![Fragment::new(1.0, 1.0).unwrap()];
+        let chains = vec![
+            ServiceChain::new(0.9, frag()).unwrap(),
+            ServiceChain::new(0.9, frag()).unwrap(),
+        ];
+        let model =
+            SystemModel::new(devices, chains, Placement::new(vec![vec![0], vec![1]])).unwrap();
+        let res = solve(&model, &ApproxConfig::default());
+        assert_eq!(res.chains[0].throughput, 0.0);
+        let exact = analytic::mm1k_throughput(0.9, 1.0, 5);
+        assert!((res.chains[1].throughput - exact).abs() < 1e-9);
     }
 
     #[test]

@@ -18,7 +18,8 @@ use chainnet::model::ChainNet;
 use chainnet_ckpt::{CkptError, CkptStore};
 use chainnet_obs::Obs;
 use chainnet_placement::evaluator::{
-    loss_probability, ApproxEvaluator, GnnEvaluator, ResilientEvaluator, SimEvaluator,
+    loss_probability, ApproxEvaluator, BatchEvaluator, GnnEvaluator, ResilientEvaluator,
+    SimEvaluator,
 };
 use chainnet_placement::problem::PlacementProblem;
 use chainnet_placement::sa::{SaConfig, SaResult, SimulatedAnnealing};
@@ -470,7 +471,7 @@ impl Engine {
                 // Bounded polish around the repaired placement; the SA
                 // seed is derived from the fault counter so repairs are
                 // deterministic in the event sequence.
-                let sa = SimulatedAnnealing::new(SaConfig {
+                let config = SaConfig {
                     max_steps: self.config.repair_steps,
                     seed: self
                         .config
@@ -478,16 +479,15 @@ impl Engine {
                         .wrapping_add(0x5eed_fa17)
                         .wrapping_add(self.state.faults_applied),
                     ..SaConfig::paper_default()
-                });
-                let result = self.run_repair(&sa, &eff, &base);
-                let (placement, objective) = match result {
-                    Some(r) if r.best_objective.is_finite() => (r.best_placement, r.best_objective),
-                    _ => {
-                        // Polish failed to score anything: keep the
-                        // greedy relocation with a conservative score.
-                        let obj = self.score(&eff, &base).unwrap_or(f64::NEG_INFINITY);
-                        (base, obj)
-                    }
+                };
+                let result = self.search(config, &eff, &base, 1, self.config.neighborhood);
+                let (placement, objective) = if result.best_objective.is_finite() {
+                    (result.best_placement, result.best_objective)
+                } else {
+                    // Polish failed to score anything: keep the greedy
+                    // relocation with a conservative score.
+                    let obj = self.score(&eff, &base).unwrap_or(f64::NEG_INFINITY);
+                    (base, obj)
                 };
                 self.state.last_good = Some(CachedPlacement {
                     placement,
@@ -570,46 +570,31 @@ impl Engine {
             .unwrap_or_else(|_| SimConfig::new(200.0, self.config.seed))
     }
 
-    /// The repair rung: bounded batched neighborhood search from `base`.
-    fn run_repair(
+    /// One SA search from `start` through the serving evaluator stack:
+    /// the surrogate backed by the analytic evaluator when a surrogate
+    /// is loaded, else the analytic evaluator backed by simulation.
+    fn search(
         &self,
-        sa: &SimulatedAnnealing,
+        config: SaConfig,
         eff: &PlacementProblem,
-        base: &Placement,
-    ) -> Option<SaResult> {
-        let result = match &self.surrogate {
-            Some(model) => {
-                let mut ev = ResilientEvaluator::new_observed(
-                    GnnEvaluator::new(model.clone()),
-                    ApproxEvaluator::default(),
-                    self.obs.clone(),
-                );
-                sa.optimize_neighborhood_observed(
-                    eff,
-                    base,
-                    &mut ev,
-                    1,
-                    self.config.neighborhood,
-                    &self.obs,
-                )
-            }
-            None => {
-                let mut ev = ResilientEvaluator::new_observed(
-                    ApproxEvaluator::default(),
-                    SimEvaluator::new(self.sim_config()),
-                    self.obs.clone(),
-                );
-                sa.optimize_neighborhood_observed(
-                    eff,
-                    base,
-                    &mut ev,
-                    1,
-                    self.config.neighborhood,
-                    &self.obs,
-                )
-            }
+        start: &Placement,
+        trials: usize,
+        neighborhood: usize,
+    ) -> SaResult {
+        let sa = SimulatedAnnealing::new(config);
+        let mut ev: Box<dyn BatchEvaluator> = match &self.surrogate {
+            Some(model) => Box::new(ResilientEvaluator::new_observed(
+                GnnEvaluator::new(model.clone()),
+                ApproxEvaluator::default(),
+                self.obs.clone(),
+            )),
+            None => Box::new(ResilientEvaluator::new_observed(
+                ApproxEvaluator::default(),
+                SimEvaluator::new(self.sim_config()),
+                self.obs.clone(),
+            )),
         };
-        Some(result)
+        sa.optimize_neighborhood_observed(eff, start, &mut *ev, trials, neighborhood, &self.obs)
     }
 
     /// Score one placement with the serving evaluator stack.
@@ -662,42 +647,13 @@ impl Engine {
                 let span = self.obs.tracer.span("serve.search");
                 let budget_secs = remaining
                     .map(|d| d.as_secs_f64() * self.config.deadline_safety.clamp(0.05, 1.0));
-                let sa = SimulatedAnnealing::new(SaConfig {
+                let config = SaConfig {
                     max_steps: self.config.sa_steps,
                     seed: self.config.seed.wrapping_add(request_n),
                     max_wall_secs: budget_secs,
                     ..SaConfig::paper_default()
-                });
-                let result = match &self.surrogate {
-                    Some(model) => {
-                        let mut ev = ResilientEvaluator::new_observed(
-                            GnnEvaluator::new(model.clone()),
-                            ApproxEvaluator::default(),
-                            self.obs.clone(),
-                        );
-                        sa.optimize_observed(
-                            &eff,
-                            start_placement,
-                            &mut ev,
-                            self.config.trials,
-                            &self.obs,
-                        )
-                    }
-                    None => {
-                        let mut ev = ResilientEvaluator::new_observed(
-                            ApproxEvaluator::default(),
-                            SimEvaluator::new(self.sim_config()),
-                            self.obs.clone(),
-                        );
-                        sa.optimize_observed(
-                            &eff,
-                            start_placement,
-                            &mut ev,
-                            self.config.trials,
-                            &self.obs,
-                        )
-                    }
                 };
+                let result = self.search(config, &eff, start_placement, self.config.trials, 1);
                 span.close();
                 if result.best_objective.is_finite() && eff.is_feasible(&result.best_placement) {
                     // Deadline re-check: a full search that blew the
@@ -718,26 +674,26 @@ impl Engine {
         // Rung 2: bounded local repair around the starting placement.
         if let Some(start_placement) = &start {
             if Self::remaining(deadline_ms, received).is_ok() {
-                let sa = SimulatedAnnealing::new(SaConfig {
+                let config = SaConfig {
                     max_steps: self.config.repair_steps,
                     seed: self.config.seed.wrapping_add(request_n) ^ 0x10ca1,
                     max_wall_secs: remaining
                         .map(|d| d.as_secs_f64() * self.config.deadline_safety.clamp(0.05, 1.0)),
                     ..SaConfig::paper_default()
-                });
-                if let Some(result) = self.run_repair(&sa, &eff, start_placement) {
-                    if result.best_objective.is_finite()
-                        && eff.is_feasible(&result.best_placement)
-                        && Self::remaining(deadline_ms, received).is_ok()
-                    {
-                        return self.finish_place(
-                            &eff,
-                            result.best_placement,
-                            result.best_objective,
-                            DegradationLevel::LocalRepair,
-                            result.evaluations,
-                        );
-                    }
+                };
+                let result =
+                    self.search(config, &eff, start_placement, 1, self.config.neighborhood);
+                if result.best_objective.is_finite()
+                    && eff.is_feasible(&result.best_placement)
+                    && Self::remaining(deadline_ms, received).is_ok()
+                {
+                    return self.finish_place(
+                        &eff,
+                        result.best_placement,
+                        result.best_objective,
+                        DegradationLevel::LocalRepair,
+                        result.evaluations,
+                    );
                 }
             }
         }
@@ -1224,5 +1180,117 @@ mod tests {
             objs
         };
         assert_eq!(run(), run());
+    }
+
+    /// Routes of `placement`, one device list per chain.
+    fn routes(placement: &Placement) -> Vec<Vec<usize>> {
+        (0..placement.num_chains())
+            .map(|c| placement.chain_route(c).to_vec())
+            .collect()
+    }
+
+    /// Topology, 3 `Place`s, a crash of device 0, 2 `Place`s: every
+    /// answer's routes and objective bits, with the cached placement
+    /// after the fault's repair between them.
+    fn golden_run(mut e: Engine) -> Vec<(Vec<Vec<usize>>, u64)> {
+        install(&mut e);
+        let mut out = Vec::new();
+        let place = |e: &mut Engine, id: u64, out: &mut Vec<_>| match e
+            .handle(&req(id, RequestBody::Place { hint: None }), Instant::now())
+            .outcome
+        {
+            Outcome::Placed {
+                placement,
+                objective,
+                ..
+            } => out.push((routes(&placement), objective.to_bits())),
+            other => panic!("expected placement, got {other:?}"),
+        };
+        for id in 2..5 {
+            place(&mut e, id, &mut out);
+        }
+        let crash = FaultEvent {
+            time: 0.0,
+            kind: FaultKind::DeviceCrash { device: 0 },
+        };
+        let r = e.handle(&req(5, RequestBody::Fault { event: crash }), Instant::now());
+        assert!(
+            matches!(r.outcome, Outcome::FaultApplied { repaired: true, .. }),
+            "{:?}",
+            r.outcome
+        );
+        let cached = e.state().last_good.clone().expect("cached placement");
+        out.push((routes(&cached.placement), cached.objective.to_bits()));
+        for id in 6..8 {
+            place(&mut e, id, &mut out);
+        }
+        out
+    }
+
+    /// Bit-exact answers to a fixed request sequence, with and without
+    /// a surrogate: every search through the serving evaluator stack
+    /// (full search, fault repair) must keep them.
+    #[test]
+    fn request_sequence_answers_match_golden() {
+        let approx_golden: [(Vec<Vec<usize>>, u64); 6] = [
+            (vec![vec![1, 0], vec![2, 3]], 4608533490369295458),
+            (vec![vec![1, 0], vec![2, 3]], 4608533490369295458),
+            (vec![vec![1, 0], vec![2, 3]], 4608533490369295458),
+            (vec![vec![3, 1], vec![2, 1]], 4608532496072931356),
+            (vec![vec![1, 3], vec![1, 2]], 4608532496075808130),
+            (vec![vec![1, 3], vec![1, 2]], 4608532496075808130),
+        ];
+        assert_eq!(golden_run(engine()), approx_golden);
+
+        let untrained = ChainNet::new(chainnet::config::ModelConfig::small(), 3);
+        let surrogate_golden: [(Vec<Vec<usize>>, u64); 6] = [
+            (vec![vec![2, 3], vec![1, 2]], 4603633268535120910),
+            (vec![vec![1, 0], vec![3, 1]], 4603643395586669940),
+            (vec![vec![2, 1], vec![2, 1]], 4603730262881538852),
+            (vec![vec![3, 2], vec![2, 3]], 4603712694394318781),
+            (vec![vec![3, 2], vec![2, 3]], 4603712694394318781),
+            (vec![vec![3, 2], vec![2, 3]], 4603712694394318781),
+        ];
+        assert_eq!(
+            golden_run(engine().with_surrogate(untrained)),
+            surrogate_golden
+        );
+    }
+
+    /// A degradation factor that drives a used device's service rate to
+    /// a subnormal value reaches the analytic evaluator in the fault's
+    /// repair; the fault and the next `Place` get typed answers.
+    #[test]
+    fn subnormal_service_rate_fault_is_answered() {
+        let mut e = engine();
+        install(&mut e);
+        let cached = e.state().last_good.clone().expect("cached placement");
+        assert!(cached.placement.iter().any(|(_, _, k)| k == 0));
+        let degrade = FaultEvent {
+            time: 0.0,
+            kind: FaultKind::ServiceDegrade {
+                device: 0,
+                factor: 1e-320,
+            },
+        };
+        let r = e.handle(
+            &req(2, RequestBody::Fault { event: degrade }),
+            Instant::now(),
+        );
+        assert!(
+            matches!(r.outcome, Outcome::FaultApplied { .. }),
+            "{:?}",
+            r.outcome
+        );
+        let r = e.handle(&req(3, RequestBody::Place { hint: None }), Instant::now());
+        match r.outcome {
+            Outcome::Placed {
+                objective, loss, ..
+            } => {
+                assert!(objective.is_finite());
+                assert!((0.0..=1.0).contains(&loss));
+            }
+            other => panic!("expected placement, got {other:?}"),
+        }
     }
 }
