@@ -53,7 +53,7 @@ use crate::model::{AttentionHead, ChainNet};
 use chainnet_neural::params::ParamStore;
 use chainnet_neural::scalar::Scalar;
 use chainnet_neural::tape::{Tape, Var};
-use chainnet_neural::tensor::Tensor;
+use chainnet_neural::tensor::Shape;
 
 /// A batch of `B` placement graphs packed into padded, masked slot
 /// matrices, ready for [`ChainNet::batched_forward`].
@@ -319,8 +319,10 @@ fn blend<S: Scalar>(tape: &mut Tape<S>, updated: Var, previous: Var, keep: &[u32
 
 /// Create a `(rows, cols)` leaf from packed `f64` data, cast to `S`.
 fn leaf_matrix<S: Scalar>(tape: &mut Tape<S>, rows: usize, cols: usize, data: &[f64]) -> Var {
-    let cast: Vec<S> = data.iter().map(|&x| S::from_f64(x)).collect();
-    tape.leaf(Tensor::matrix(rows, cols, cast))
+    tape.leaf_from_iter(
+        Shape::matrix(rows, cols),
+        data.iter().map(|&x| S::from_f64(x)),
+    )
 }
 
 impl ChainNet {
@@ -356,7 +358,7 @@ impl ChainNet {
         );
         let bsz = batch.batch_size;
         let outputs = self.batched_forward(tape, store, batch);
-        let zero_b1 = tape.leaf(Tensor::matrix(bsz, 1, vec![S::ZERO; bsz]));
+        let zero_b1 = tape.leaf_from_iter(Shape::matrix(bsz, 1), std::iter::repeat_n(S::ZERO, bsz));
         let mut total: Option<Var> = None;
         for (i, (t_out, l_out)) in outputs.into_iter().enumerate() {
             // Padded rows contribute (0 - 0)^2 = 0 to the reduction.

@@ -9,7 +9,11 @@ use crate::graph::PlacementGraph;
 use crate::graph_batch::GraphBatch;
 use chainnet_neural::layers::{Activation, GruCell, Linear, Mlp};
 use chainnet_neural::params::{ParamId, ParamStore};
-use chainnet_neural::tape::{Tape, Var};
+/// The autodiff tape [`Surrogate`] forwards record on, re-exported so a
+/// caller that keeps one across [`Surrogate::predict_batch_with`] calls
+/// can name it.
+pub use chainnet_neural::tape::Tape;
+use chainnet_neural::tape::Var;
 use chainnet_neural::tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -58,14 +62,30 @@ pub trait Surrogate {
     /// Predict a whole batch of graphs at once, returning one prediction
     /// vector per graph, in input order.
     ///
-    /// The default implementation simply loops over [`Surrogate::predict`];
-    /// models with a batched forward pass (ChainNet) override it to
-    /// evaluate all graphs in stacked matrix operations. Implementations
-    /// must return throughput **bit-identical** to the sequential loop —
-    /// the SA objective reads only throughput, and the neighborhood
-    /// search depends on batched and sequential scoring being
-    /// interchangeable — and latency within `1e-12` relative of it.
+    /// This is [`Surrogate::predict_batch_with`] on a fresh tape.
     fn predict_batch(&self, graphs: &[PlacementGraph]) -> Vec<Vec<PerfPrediction>> {
+        self.predict_batch_with(&mut Tape::new(), graphs)
+    }
+
+    /// [`Surrogate::predict_batch`] on a caller-owned tape, which the
+    /// forward [`reset`](Tape::reset)s before use. A search that scores
+    /// many batches passes the same tape every time, so after the first
+    /// forward its buffers are reused instead of reallocated; the
+    /// predictions do not depend on what the tape held before.
+    ///
+    /// The default implementation ignores the tape and loops over
+    /// [`Surrogate::predict`]; models with a batched forward pass
+    /// (ChainNet) override it to evaluate all graphs in stacked matrix
+    /// operations. Implementations must return throughput
+    /// **bit-identical** to the sequential loop — the SA objective reads
+    /// only throughput, and the neighborhood search depends on batched
+    /// and sequential scoring being interchangeable — and latency within
+    /// `1e-12` relative of it.
+    fn predict_batch_with(
+        &self,
+        _tape: &mut Tape,
+        graphs: &[PlacementGraph],
+    ) -> Vec<Vec<PerfPrediction>> {
         graphs.iter().map(|g| self.predict(g)).collect()
     }
 }
@@ -492,14 +512,18 @@ impl Surrogate for ChainNet {
     /// mix freely). Throughput is bit-identical to [`Surrogate::predict`];
     /// latency agrees to within `1e-12` relative (see
     /// `tests/batched_inference.rs`).
-    fn predict_batch(&self, graphs: &[PlacementGraph]) -> Vec<Vec<PerfPrediction>> {
+    fn predict_batch_with(
+        &self,
+        tape: &mut Tape,
+        graphs: &[PlacementGraph],
+    ) -> Vec<Vec<PerfPrediction>> {
         if graphs.is_empty() {
             return Vec::new();
         }
         let refs: Vec<&PlacementGraph> = graphs.iter().collect();
         let batch = GraphBatch::pack(&refs, self.config.target_mode);
-        let mut tape = Tape::new();
-        let outputs = self.batched_forward(&mut tape, &self.store, &batch);
+        tape.reset();
+        let outputs = self.batched_forward(tape, &self.store, &batch);
         graphs
             .iter()
             .enumerate()

@@ -7,13 +7,20 @@
 //! varying topology, a tape is rebuilt per sample (define-by-run) while
 //! the parameters persist in the store.
 //!
-//! Rebuilding does not mean reallocating: [`Tape::reset`] returns every
-//! forward-value and gradient buffer to an internal pool, and all tape
-//! operations draw their output buffers from that pool, so a training
-//! loop that calls `reset` between samples reaches a steady state with
-//! no per-step heap traffic. Pooling only recycles allocations — the
-//! arithmetic (and therefore every value and gradient, bit for bit) is
-//! identical to a fresh tape.
+//! Rebuilding does not mean reallocating. A node is a value tensor (with
+//! an inline [`Shape`]) plus a `Copy` op descriptor; the node lists of
+//! multi-input ops (`concat`, `select_rows`, `weighted_sum_rows`, ...)
+//! live in one arena the tape owns, each op holding a range into it, and
+//! parameter leaves are found through a dense table indexed by
+//! [`ParamId`]. [`Tape::reset`] keeps every list's capacity, hands node
+//! `i`'s value buffer to node `i` of the next pass and returns gradient
+//! buffers to a pool that the backward pass draws its temporaries from.
+//! So once a pass has run at some shape, a `reset` followed by a forward
+//! at the same shape allocates nothing on the tape side
+//! ([`Tape::heap_growths`] counts every time it must). Parameter leaves
+//! still copy their values out of the store, into those reused buffers.
+//! Reuse only recycles allocations — the arithmetic (and therefore every
+//! value and gradient, bit for bit) is identical to a fresh tape.
 //!
 //! The tape is generic over the [`Scalar`] element type: `Tape` (i.e.
 //! `Tape<f64>`) is the reference path used by gradcheck and the golden
@@ -29,15 +36,21 @@
 
 use crate::params::{ParamId, ParamStore};
 use crate::scalar::Scalar;
-use crate::tensor::{matmul_bt_into, Tensor};
+use crate::tensor::{matmul_bt_into, Shape, Tensor};
 use chainnet_obs::Tracer;
-use std::collections::BTreeMap;
 
 /// Handle to a node on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(usize);
 
-#[derive(Debug, Clone)]
+/// A range of one of the tape's arenas (`inputs` or `choices`).
+#[derive(Debug, Clone, Copy)]
+struct ArenaRange {
+    start: usize,
+    end: usize,
+}
+
+#[derive(Debug, Clone, Copy)]
 enum Op<S: Scalar> {
     Leaf,
     Add(usize, usize),
@@ -47,7 +60,8 @@ enum Op<S: Scalar> {
     Affine(usize, S, S),
     /// `w (m,n) * x (n)`.
     MatVec(usize, usize),
-    Concat(Vec<usize>),
+    /// Parts in `inputs`.
+    Concat(ArenaRange),
     Sigmoid(usize),
     Tanh(usize),
     Relu(usize),
@@ -56,31 +70,34 @@ enum Op<S: Scalar> {
     /// Sum of all elements to a scalar.
     Sum(usize),
     Dot(usize, usize),
-    /// Stack scalar nodes into one vector.
-    StackScalars(Vec<usize>),
-    /// `Σ_t weights[t] * items[t]` for equal-shaped vector items.
-    WeightedSum(usize, Vec<usize>),
-    /// Elementwise mean of equal-shaped vectors.
-    MeanVecs(Vec<usize>),
+    /// Stack scalar nodes (in `inputs`) into one vector.
+    StackScalars(ArenaRange),
+    /// `Σ_t weights[t] * items[t]` for equal-shaped vector items (in
+    /// `inputs`).
+    WeightedSum(usize, ArenaRange),
+    /// Elementwise mean of equal-shaped vectors (in `inputs`).
+    MeanVecs(ArenaRange),
     /// `x (B,k) * w^T` where `w` is `(n,k)` — the batched linear kernel.
     MatMulBt(usize, usize),
     /// Broadcast-add a vector node to every row of a matrix node.
     AddRows(usize, usize),
-    /// Column-concatenation of equal-row-count matrix nodes.
-    ConcatCols(Vec<usize>),
-    /// Row `b` of the output is row `b` of `sources[choice[b]]`.
-    SelectRows(Vec<usize>, Vec<u32>),
-    /// Row-wise softmax restricted to mask-valid columns.
-    MaskedSoftmaxRows(usize, Vec<bool>),
-    /// `y[b,:] = Σ_t w[b,t] * items[t][b,:]` for `(B,T)` weights.
-    WeightedSumRows(usize, Vec<usize>),
+    /// Column-concatenation of equal-row-count matrix nodes (in `inputs`).
+    ConcatCols(ArenaRange),
+    /// Row `b` of the output is row `b` of `sources[choice[b]]`, with the
+    /// sources in `inputs` and the choices in `choices`.
+    SelectRows(ArenaRange, ArenaRange),
+    /// Row-wise softmax restricted to mask-valid columns. The backward
+    /// pass needs no mask: masked-out outputs are exactly `0`.
+    MaskedSoftmaxRows(usize),
+    /// `y[b,:] = Σ_t w[b,t] * items[t][b,:]` for `(B,T)` weights, items
+    /// in `inputs`.
+    WeightedSumRows(usize, ArenaRange),
 }
 
 #[derive(Debug, Clone)]
 struct Node<S: Scalar> {
     value: Tensor<S>,
     op: Op<S>,
-    param: Option<ParamId>,
 }
 
 /// A reverse-mode autodiff tape.
@@ -98,15 +115,27 @@ struct Node<S: Scalar> {
 /// tape.backward(loss);
 /// assert_eq!(tape.grad(x).data(), &[2.0, 4.0]); // d/dx = 2x
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tape<S: Scalar = f64> {
     nodes: Vec<Node<S>>,
     grads: Vec<Option<Tensor<S>>>,
-    param_cache: BTreeMap<ParamId, Var>,
-    /// Recycled scalar buffers harvested by [`Tape::reset`] and the
-    /// backward pass; every op draws its output storage from here.
+    /// Node-index lists of the multi-input ops, one range per op.
+    inputs: Vec<usize>,
+    /// Per-row source choices of the `select_rows` ops.
+    choices: Vec<u32>,
+    /// The leaf of each parameter already on the tape, indexed by
+    /// [`ParamId`].
+    params: Vec<Option<Var>>,
+    /// Value buffer of node position `i` in the previous pass, handed to
+    /// node `i` of the next one by [`Tape::reset`].
+    spares: Vec<Vec<S>>,
+    /// Recycled scalar buffers: gradients harvested by [`Tape::reset`]
+    /// and backward-pass temporaries. Backward draws from here, as does
+    /// a node position the previous pass did not reach.
     pool: Vec<Vec<S>>,
-    /// Span tracer for the backward pass; disabled (one branch) unless
+    /// See [`Tape::heap_growths`].
+    growths: u64,
+    /// ArenaRange tracer for the backward pass; disabled (one branch) unless
     /// installed with [`Tape::set_tracer`].
     tracer: Tracer,
 }
@@ -116,10 +145,51 @@ impl<S: Scalar> Default for Tape<S> {
         Self {
             nodes: Vec::new(),
             grads: Vec::new(),
-            param_cache: BTreeMap::new(),
+            inputs: Vec::new(),
+            choices: Vec::new(),
+            params: Vec::new(),
+            spares: Vec::new(),
             pool: Vec::new(),
+            growths: 0,
             tracer: Tracer::default(),
         }
+    }
+}
+
+/// Clear `buf` and make room for `len` elements, counting an allocation
+/// in `growths` when its capacity falls short.
+fn ready<S>(growths: &mut u64, buf: &mut Vec<S>, len: usize) {
+    buf.clear();
+    if buf.capacity() < len {
+        *growths += 1;
+        buf.reserve_exact(len);
+    }
+}
+
+/// Push onto a tape-owned list, counting the push in `growths` when the
+/// list must reallocate.
+fn push_counted<T>(growths: &mut u64, list: &mut Vec<T>, item: T) {
+    if list.len() == list.capacity() {
+        *growths += 1;
+    }
+    list.push(item);
+}
+
+/// Append `items` to an arena and return their range, counting a
+/// reallocation in `growths`.
+fn record<T>(
+    growths: &mut u64,
+    arena: &mut Vec<T>,
+    items: impl ExactSizeIterator<Item = T>,
+) -> ArenaRange {
+    let start = arena.len();
+    if arena.capacity() - start < items.len() {
+        *growths += 1;
+    }
+    arena.extend(items);
+    ArenaRange {
+        start,
+        end: arena.len(),
     }
 }
 
@@ -129,35 +199,50 @@ impl<S: Scalar> Tape<S> {
         Self::default()
     }
 
-    /// Clear the recorded computation, returning every forward-value and
-    /// gradient buffer to the internal pool for reuse by the next
-    /// forward/backward pass. Node and gradient list capacities are
-    /// retained, so a steady-state training loop allocates nothing.
+    /// Clear the recorded computation for the next forward/backward pass.
+    /// Every list keeps its capacity, node `i`'s value buffer is kept for
+    /// node `i` of the next pass, and gradient buffers return to the pool
+    /// the backward pass draws from — so a pass at a shape the tape has
+    /// already seen allocates nothing.
     // lint:zero_alloc
     pub fn reset(&mut self) {
-        for node in self.nodes.drain(..) {
+        if self.spares.len() < self.nodes.len() {
+            self.growths += 1;
+            // lint:allow(alloc_hygiene): grows only when a pass records
+            // more nodes than any pass before it
+            self.spares.resize_with(self.nodes.len(), Vec::new);
+        }
+        for (spare, node) in self.spares.iter_mut().zip(self.nodes.drain(..)) {
             let (_, data) = node.value.into_parts();
             if data.capacity() > 0 {
-                // lint:allow(alloc_hygiene): returns a harvested buffer
-                // to the pool; the pool vec reaches steady-state
-                // capacity after the first pass and never grows again
-                self.pool.push(data);
+                // A spare this pass did not take (a caller-built leaf
+                // sat at its position) is dropped here.
+                *spare = data;
             }
         }
         for g in self.grads.drain(..).flatten() {
             let (_, data) = g.into_parts();
             if data.capacity() > 0 {
-                // lint:allow(alloc_hygiene): same pool hand-back as
-                // above — no new heap in steady state
-                self.pool.push(data);
+                push_counted(&mut self.growths, &mut self.pool, data);
             }
         }
-        self.param_cache.clear();
+        self.inputs.clear();
+        self.choices.clear();
+        self.params.fill(None);
     }
 
     /// Number of recycled buffers currently pooled (diagnostics/tests).
     pub fn pooled_buffers(&self) -> usize {
         self.pool.len()
+    }
+
+    /// How many times this tape has allocated or grown storage: a value
+    /// or gradient buffer that was missing or too small, or a full node
+    /// list, arena or table. After one pass at a given shape, a
+    /// [`reset`](Self::reset) and a forward at the same shape leave this
+    /// count unchanged (diagnostics/tests).
+    pub fn heap_growths(&self) -> u64 {
+        self.growths
     }
 
     /// Install a span tracer: each [`Tape::backward`] call records a
@@ -167,10 +252,25 @@ impl<S: Scalar> Tape<S> {
         self.tracer = tracer;
     }
 
-    /// An empty buffer, recycled from the pool when one is available.
-    fn take_buf(&mut self) -> Vec<S> {
+    /// An empty buffer with room for `len` elements for the node about to
+    /// be pushed: the buffer its position held in the previous pass, else
+    /// one from the pool.
+    // lint:zero_alloc
+    fn node_buf(&mut self, len: usize) -> Vec<S> {
+        let mut buf = match self.spares.get_mut(self.nodes.len()) {
+            Some(spare) if spare.capacity() > 0 => std::mem::take(spare),
+            _ => self.pool.pop().unwrap_or_default(),
+        };
+        ready(&mut self.growths, &mut buf, len);
+        buf
+    }
+
+    /// An empty pooled buffer with room for `len` elements (backward-pass
+    /// temporaries and gradients).
+    // lint:zero_alloc
+    fn take_buf(&mut self, len: usize) -> Vec<S> {
         let mut buf = self.pool.pop().unwrap_or_default();
-        buf.clear();
+        ready(&mut self.growths, &mut buf, len);
         buf
     }
 
@@ -178,50 +278,63 @@ impl<S: Scalar> Tape<S> {
     fn recycle(&mut self, t: Tensor<S>) {
         let (_, data) = t.into_parts();
         if data.capacity() > 0 {
-            self.pool.push(data);
+            push_counted(&mut self.growths, &mut self.pool, data);
         }
     }
 
-    /// Pooled elementwise zip of two node values.
-    fn pooled_zip_nodes(&mut self, a: usize, b: usize, f: impl Fn(S, S) -> S) -> Tensor<S> {
-        let mut buf = self.take_buf();
+    /// Record the node list of a multi-input op in the arena.
+    fn record_inputs(&mut self, vars: &[Var]) -> ArenaRange {
+        record(
+            &mut self.growths,
+            &mut self.inputs,
+            vars.iter().map(|v| v.0),
+        )
+    }
+
+    /// Elementwise zip of two node values, into the next node's buffer.
+    fn zip_nodes(&mut self, a: usize, b: usize, f: impl Fn(S, S) -> S) -> Tensor<S> {
+        let mut buf = self.node_buf(self.nodes[a].value.len());
         let x = &self.nodes[a].value;
         let y = &self.nodes[b].value;
         assert_eq!(x.shape(), y.shape(), "shape mismatch in zip_map");
         buf.extend(x.data().iter().zip(y.data()).map(|(&p, &q)| f(p, q)));
-        Tensor::from_shape_data(x.shape().to_vec(), buf)
+        Tensor::from_shape_data(x.dims(), buf)
+    }
+
+    /// Elementwise map of a node value, into the next node's buffer.
+    fn map_node(&mut self, node: usize, f: impl Fn(S) -> S) -> Tensor<S> {
+        let mut buf = self.node_buf(self.nodes[node].value.len());
+        let x = &self.nodes[node].value;
+        buf.extend(x.data().iter().map(|&p| f(p)));
+        Tensor::from_shape_data(x.dims(), buf)
     }
 
     /// Pooled elementwise zip of a node value with an external tensor.
     fn pooled_zip_node(&mut self, node: usize, t: &Tensor<S>, f: impl Fn(S, S) -> S) -> Tensor<S> {
-        let mut buf = self.take_buf();
+        let mut buf = self.take_buf(t.len());
         let x = &self.nodes[node].value;
         assert_eq!(x.shape(), t.shape(), "shape mismatch in zip_map");
         buf.extend(x.data().iter().zip(t.data()).map(|(&p, &q)| f(p, q)));
-        Tensor::from_shape_data(x.shape().to_vec(), buf)
+        Tensor::from_shape_data(x.dims(), buf)
     }
 
-    /// Pooled elementwise map of a node value.
+    /// Pooled elementwise map of a node value (gradient temporaries).
     fn pooled_map_node(&mut self, node: usize, f: impl Fn(S) -> S) -> Tensor<S> {
-        let mut buf = self.take_buf();
+        let mut buf = self.take_buf(self.nodes[node].value.len());
         let x = &self.nodes[node].value;
         buf.extend(x.data().iter().map(|&p| f(p)));
-        Tensor::from_shape_data(x.shape().to_vec(), buf)
+        Tensor::from_shape_data(x.dims(), buf)
     }
 
     /// Pooled elementwise map of an external tensor (gradient temporaries).
     fn pooled_map(&mut self, src: &Tensor<S>, f: impl Fn(S) -> S) -> Tensor<S> {
-        let mut buf = self.take_buf();
+        let mut buf = self.take_buf(src.len());
         buf.extend(src.data().iter().map(|&x| f(x)));
-        Tensor::from_shape_data(src.shape().to_vec(), buf)
+        Tensor::from_shape_data(src.dims(), buf)
     }
 
     fn push(&mut self, value: Tensor<S>, op: Op<S>) -> Var {
-        self.nodes.push(Node {
-            value,
-            op,
-            param: None,
-        });
+        push_counted(&mut self.growths, &mut self.nodes, Node { value, op });
         Var(self.nodes.len() - 1)
     }
 
@@ -240,19 +353,34 @@ impl<S: Scalar> Tape<S> {
         self.push(value, Op::Leaf)
     }
 
+    /// Insert a constant leaf of `shape` whose values are written straight
+    /// into tape-owned storage, so that building it allocates nothing
+    /// once the tape is warm.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `values` yields exactly `shape.numel()` elements.
+    pub fn leaf_from_iter(&mut self, shape: Shape, values: impl IntoIterator<Item = S>) -> Var {
+        let mut buf = self.node_buf(shape.numel());
+        buf.extend(values);
+        self.push(Tensor::from_shape_data(shape, buf), Op::Leaf)
+    }
+
     /// Insert (or reuse) a leaf for a trainable parameter. Repeated calls
     /// with the same id return the same node, so gradients accumulate.
     pub fn param(&mut self, store: &ParamStore<S>, id: ParamId) -> Var {
-        if let Some(&v) = self.param_cache.get(&id) {
+        if let Some(&Some(v)) = self.params.get(id.0) {
             return v;
         }
-        let mut buf = self.take_buf();
+        if self.params.len() <= id.0 {
+            self.growths += 1;
+            self.params.resize(id.0 + 1, None);
+        }
         let src = store.value(id);
+        let mut buf = self.node_buf(src.len());
         buf.extend_from_slice(src.data());
-        let value = Tensor::from_shape_data(src.shape().to_vec(), buf);
-        let v = self.push(value, Op::Leaf);
-        self.nodes[v.0].param = Some(id);
-        self.param_cache.insert(id, v);
+        let v = self.push(Tensor::from_shape_data(src.dims(), buf), Op::Leaf);
+        self.params[id.0] = Some(v);
         v
     }
 
@@ -263,35 +391,36 @@ impl<S: Scalar> Tape<S> {
 
     /// Elementwise addition.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = self.pooled_zip_nodes(a.0, b.0, |x, y| x + y);
+        let v = self.zip_nodes(a.0, b.0, |x, y| x + y);
         self.push(v, Op::Add(a.0, b.0))
     }
 
     /// Elementwise subtraction `a - b`.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.pooled_zip_nodes(a.0, b.0, |x, y| x - y);
+        let v = self.zip_nodes(a.0, b.0, |x, y| x - y);
         self.push(v, Op::Sub(a.0, b.0))
     }
 
     /// Elementwise (Hadamard) product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.pooled_zip_nodes(a.0, b.0, |x, y| x * y);
+        let v = self.zip_nodes(a.0, b.0, |x, y| x * y);
         self.push(v, Op::Mul(a.0, b.0))
     }
 
     /// Elementwise affine map `alpha * a + beta`.
     pub fn affine(&mut self, a: Var, alpha: S, beta: S) -> Var {
-        let v = self.pooled_map_node(a.0, |x| alpha * x + beta);
+        let v = self.map_node(a.0, |x| alpha * x + beta);
         self.push(v, Op::Affine(a.0, alpha, beta))
     }
 
     /// Matrix-vector product; `w` must be a matrix node, `x` a vector node.
     pub fn matvec(&mut self, w: Var, x: Var) -> Var {
-        let mut buf = self.take_buf();
         let wv = &self.nodes[w.0].value;
-        let xv = &self.nodes[x.0].value;
         assert!(wv.is_matrix(), "matvec on non-matrix");
         let (m, n) = (wv.rows(), wv.cols());
+        let mut buf = self.node_buf(m);
+        let wv = &self.nodes[w.0].value;
+        let xv = &self.nodes[x.0].value;
         assert_eq!(
             xv.len(),
             n,
@@ -304,7 +433,10 @@ impl<S: Scalar> Tape<S> {
                 .chunks_exact(n)
                 .map(|row| row.iter().zip(xv.data()).map(|(&a, &b)| a * b).sum::<S>()),
         );
-        self.push(Tensor::from_shape_data(vec![m], buf), Op::MatVec(w.0, x.0))
+        self.push(
+            Tensor::from_shape_data(Shape::vector(m), buf),
+            Op::MatVec(w.0, x.0),
+        )
     }
 
     /// Batched linear kernel `x (B, k) * w^T` where `w` is `(n, k)`,
@@ -320,20 +452,21 @@ impl<S: Scalar> Tape<S> {
     ///
     /// Panics unless `x` is `(B, k)` and `w` is `(n, k)`.
     pub fn matmul_bt(&mut self, x: Var, w: Var) -> Var {
-        let mut buf = self.take_buf();
-        let (m, n) = {
+        let (m, k, n) = {
             let xv = &self.nodes[x.0].value;
             let wv = &self.nodes[w.0].value;
             assert!(xv.is_matrix() && wv.is_matrix(), "matmul_bt on non-matrix");
             let (m, k) = (xv.rows(), xv.cols());
             let (n, wk) = (wv.rows(), wv.cols());
             assert_eq!(k, wk, "matmul_bt: inner dims {k} != {wk}");
-            buf.resize(m * n, S::ZERO);
-            matmul_bt_into(xv.data(), wv.data(), m, k, n, &mut buf);
-            (m, n)
+            (m, k, n)
         };
+        let mut buf = self.node_buf(m * n);
+        buf.resize(m * n, S::ZERO);
+        let (xv, wv) = (&self.nodes[x.0].value, &self.nodes[w.0].value);
+        matmul_bt_into(xv.data(), wv.data(), m, k, n, &mut buf);
         self.push(
-            Tensor::from_shape_data(vec![m, n], buf),
+            Tensor::from_shape_data(Shape::matrix(m, n), buf),
             Op::MatMulBt(x.0, w.0),
         )
     }
@@ -347,8 +480,7 @@ impl<S: Scalar> Tape<S> {
     /// Panics unless `x` is a matrix whose column count equals
     /// `bias.len()`.
     pub fn add_rows(&mut self, x: Var, bias: Var) -> Var {
-        let mut buf = self.take_buf();
-        let rows = {
+        let shape = {
             let xv = &self.nodes[x.0].value;
             let bv = &self.nodes[bias.0].value;
             assert!(xv.is_matrix(), "add_rows on non-matrix");
@@ -359,15 +491,16 @@ impl<S: Scalar> Tape<S> {
                 "add_rows: matrix cols {n} != bias len {}",
                 bv.len()
             );
-            buf.reserve(xv.len());
-            for row in xv.data().chunks_exact(n) {
-                buf.extend(row.iter().zip(bv.data()).map(|(&a, &b)| a + b));
-            }
-            xv.rows()
+            xv.dims()
         };
-        let n = buf.len() / rows.max(1);
+        let mut buf = self.node_buf(shape.numel());
+        let xv = &self.nodes[x.0].value;
+        let bv = &self.nodes[bias.0].value;
+        for row in xv.data().chunks_exact(shape[1]) {
+            buf.extend(row.iter().zip(bv.data()).map(|(&a, &b)| a + b));
+        }
         self.push(
-            Tensor::from_shape_data(vec![rows, n], buf),
+            Tensor::from_shape_data(shape, buf),
             Op::AddRows(x.0, bias.0),
         )
     }
@@ -382,7 +515,6 @@ impl<S: Scalar> Tape<S> {
     /// Panics if `parts` is empty or row counts differ.
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
         assert!(!parts.is_empty(), "concat_cols needs at least one part");
-        let mut buf = self.take_buf();
         let rows = self.nodes[parts[0].0].value.rows();
         let mut total = 0;
         for p in parts {
@@ -390,7 +522,7 @@ impl<S: Scalar> Tape<S> {
             assert_eq!(pv.rows(), rows, "concat_cols: row count mismatch");
             total += pv.cols();
         }
-        buf.reserve(rows * total);
+        let mut buf = self.node_buf(rows * total);
         for b in 0..rows {
             for p in parts {
                 let pv = &self.nodes[p.0].value;
@@ -398,9 +530,10 @@ impl<S: Scalar> Tape<S> {
                 buf.extend_from_slice(&pv.data()[b * w..(b + 1) * w]);
             }
         }
+        let ids = self.record_inputs(parts);
         self.push(
-            Tensor::from_shape_data(vec![rows, total], buf),
-            Op::ConcatCols(parts.iter().map(|p| p.0).collect()),
+            Tensor::from_shape_data(Shape::matrix(rows, total), buf),
+            Op::ConcatCols(ids),
         )
     }
 
@@ -425,15 +558,16 @@ impl<S: Scalar> Tape<S> {
                 "select_rows: source rows != choice len"
             );
         }
-        let mut buf = self.take_buf();
-        buf.reserve(choice.len() * w);
+        let mut buf = self.node_buf(choice.len() * w);
         for (b, &c) in choice.iter().enumerate() {
             let sv = &self.nodes[sources[c as usize].0].value;
             buf.extend_from_slice(&sv.data()[b * w..(b + 1) * w]);
         }
+        let srcs = self.record_inputs(sources);
+        let picks = record(&mut self.growths, &mut self.choices, choice.iter().copied());
         self.push(
-            Tensor::from_shape_data(vec![choice.len(), w], buf),
-            Op::SelectRows(sources.iter().map(|s| s.0).collect(), choice.to_vec()),
+            Tensor::from_shape_data(Shape::matrix(choice.len(), w), buf),
+            Op::SelectRows(srcs, picks),
         )
     }
 
@@ -451,43 +585,44 @@ impl<S: Scalar> Tape<S> {
     ///
     /// Panics unless `mask.len() == B * T`.
     pub fn masked_softmax_rows(&mut self, x: Var, mask: &[bool]) -> Var {
-        let mut buf = self.take_buf();
-        let (rows, cols) = {
+        let shape = {
             let xv = &self.nodes[x.0].value;
             assert!(xv.is_matrix(), "masked_softmax_rows on non-matrix");
-            let (rows, cols) = (xv.rows(), xv.cols());
-            assert_eq!(mask.len(), rows * cols, "mask length != rows * cols");
-            for b in 0..rows {
-                let row = &xv.data()[b * cols..(b + 1) * cols];
-                let mrow = &mask[b * cols..(b + 1) * cols];
-                let mut max = S::NEG_INFINITY;
-                for (&v, &m) in row.iter().zip(mrow) {
-                    if m {
-                        max = max.max(v);
-                    }
-                }
-                let start = buf.len();
-                buf.extend(row.iter().zip(mrow).map(
-                    |(&v, &m)| {
-                        if m {
-                            (v - max).exp()
-                        } else {
-                            S::ZERO
-                        }
-                    },
-                ));
-                let z: S = buf[start..].iter().copied().sum();
-                if z != S::ZERO {
-                    for e in &mut buf[start..] {
-                        *e /= z;
-                    }
+            assert_eq!(mask.len(), xv.len(), "mask length != rows * cols");
+            xv.dims()
+        };
+        let (rows, cols) = (shape[0], shape[1]);
+        let mut buf = self.node_buf(rows * cols);
+        let xv = &self.nodes[x.0].value;
+        for b in 0..rows {
+            let row = &xv.data()[b * cols..(b + 1) * cols];
+            let mrow = &mask[b * cols..(b + 1) * cols];
+            let mut max = S::NEG_INFINITY;
+            for (&v, &m) in row.iter().zip(mrow) {
+                if m {
+                    max = max.max(v);
                 }
             }
-            (rows, cols)
-        };
+            let start = buf.len();
+            buf.extend(row.iter().zip(mrow).map(
+                |(&v, &m)| {
+                    if m {
+                        (v - max).exp()
+                    } else {
+                        S::ZERO
+                    }
+                },
+            ));
+            let z: S = buf[start..].iter().copied().sum();
+            if z != S::ZERO {
+                for e in &mut buf[start..] {
+                    *e /= z;
+                }
+            }
+        }
         self.push(
-            Tensor::from_shape_data(vec![rows, cols], buf),
-            Op::MaskedSoftmaxRows(x.0, mask.to_vec()),
+            Tensor::from_shape_data(shape, buf),
+            Op::MaskedSoftmaxRows(x.0),
         )
     }
 
@@ -505,72 +640,78 @@ impl<S: Scalar> Tape<S> {
             !items.is_empty(),
             "weighted_sum_rows needs at least one item"
         );
-        let mut buf = self.take_buf();
-        let (bsz, w) = {
+        let (bsz, t) = {
             let wv = &self.nodes[weights.0].value;
             assert!(wv.is_matrix(), "weighted_sum_rows weights non-matrix");
-            let (bsz, t) = (wv.rows(), wv.cols());
-            assert_eq!(t, items.len(), "weights cols != item count");
-            let w = self.nodes[items[0].0].value.cols();
-            buf.resize(bsz * w, S::ZERO);
-            for (tt, item) in items.iter().enumerate() {
-                let iv = &self.nodes[item.0].value;
-                assert_eq!(iv.rows(), bsz, "weighted_sum_rows: item rows != B");
-                assert_eq!(iv.cols(), w, "weighted_sum_rows: item cols mismatch");
-                for b in 0..bsz {
-                    let alpha = wv.data()[b * t + tt];
-                    let dst = &mut buf[b * w..(b + 1) * w];
-                    let src = &iv.data()[b * w..(b + 1) * w];
-                    for (o, &v) in dst.iter_mut().zip(src) {
-                        *o += alpha * v;
-                    }
+            (wv.rows(), wv.cols())
+        };
+        assert_eq!(t, items.len(), "weights cols != item count");
+        let w = self.nodes[items[0].0].value.cols();
+        let mut buf = self.node_buf(bsz * w);
+        buf.resize(bsz * w, S::ZERO);
+        let wv = &self.nodes[weights.0].value;
+        for (tt, item) in items.iter().enumerate() {
+            let iv = &self.nodes[item.0].value;
+            assert_eq!(iv.rows(), bsz, "weighted_sum_rows: item rows != B");
+            assert_eq!(iv.cols(), w, "weighted_sum_rows: item cols mismatch");
+            for b in 0..bsz {
+                let alpha = wv.data()[b * t + tt];
+                let dst = &mut buf[b * w..(b + 1) * w];
+                let src = &iv.data()[b * w..(b + 1) * w];
+                for (o, &v) in dst.iter_mut().zip(src) {
+                    *o += alpha * v;
                 }
             }
-            (bsz, w)
-        };
+        }
+        let ids = self.record_inputs(items);
         self.push(
-            Tensor::from_shape_data(vec![bsz, w], buf),
-            Op::WeightedSumRows(weights.0, items.iter().map(|p| p.0).collect()),
+            Tensor::from_shape_data(Shape::matrix(bsz, w), buf),
+            Op::WeightedSumRows(weights.0, ids),
         )
     }
 
     /// Concatenate vector nodes.
     pub fn concat(&mut self, parts: &[Var]) -> Var {
-        let mut buf = self.take_buf();
+        let total = parts.iter().map(|p| self.nodes[p.0].value.len()).sum();
+        let mut buf = self.node_buf(total);
         for p in parts {
             buf.extend_from_slice(self.nodes[p.0].value.data());
         }
-        let v = Tensor::from_shape_data(vec![buf.len()], buf);
-        self.push(v, Op::Concat(parts.iter().map(|p| p.0).collect()))
+        let ids = self.record_inputs(parts);
+        self.push(
+            Tensor::from_shape_data(Shape::vector(total), buf),
+            Op::Concat(ids),
+        )
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.pooled_map_node(a.0, |x| S::ONE / (S::ONE + (-x).exp()));
+        let v = self.map_node(a.0, |x| S::ONE / (S::ONE + (-x).exp()));
         self.push(v, Op::Sigmoid(a.0))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.pooled_map_node(a.0, S::tanh);
+        let v = self.map_node(a.0, S::tanh);
         self.push(v, Op::Tanh(a.0))
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.pooled_map_node(a.0, |x| x.max(S::ZERO));
+        let v = self.map_node(a.0, |x| x.max(S::ZERO));
         self.push(v, Op::Relu(a.0))
     }
 
     /// Leaky ReLU with negative slope `slope`.
     pub fn leaky_relu(&mut self, a: Var, slope: S) -> Var {
-        let v = self.pooled_map_node(a.0, |x| if x > S::ZERO { x } else { slope * x });
+        let v = self.map_node(a.0, |x| if x > S::ZERO { x } else { slope * x });
         self.push(v, Op::LeakyRelu(a.0, slope))
     }
 
     /// Numerically stable softmax over a vector.
     pub fn softmax(&mut self, a: Var) -> Var {
-        let mut buf = self.take_buf();
+        let len = self.nodes[a.0].value.len();
+        let mut buf = self.node_buf(len);
         let x = &self.nodes[a.0].value;
         let max = x.data().iter().copied().fold(S::NEG_INFINITY, S::max);
         buf.extend(x.data().iter().map(|&v| (v - max).exp()));
@@ -578,20 +719,25 @@ impl<S: Scalar> Tape<S> {
         for e in &mut buf {
             *e /= z;
         }
-        let v = Tensor::from_shape_data(vec![buf.len()], buf);
+        let v = Tensor::from_shape_data(Shape::vector(len), buf);
         self.push(v, Op::Softmax(a.0))
     }
 
     /// Sum all elements into a scalar node.
     pub fn sum(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.nodes[a.0].value.sum());
-        self.push(v, Op::Sum(a.0))
+        let mut buf = self.node_buf(1);
+        buf.push(self.nodes[a.0].value.sum());
+        self.push(Tensor::from_shape_data(Shape::vector(1), buf), Op::Sum(a.0))
     }
 
     /// Dot product of two vector nodes, as a scalar node.
     pub fn dot(&mut self, a: Var, b: Var) -> Var {
-        let v = Tensor::scalar(self.nodes[a.0].value.dot(&self.nodes[b.0].value));
-        self.push(v, Op::Dot(a.0, b.0))
+        let mut buf = self.node_buf(1);
+        buf.push(self.nodes[a.0].value.dot(&self.nodes[b.0].value));
+        self.push(
+            Tensor::from_shape_data(Shape::vector(1), buf),
+            Op::Dot(a.0, b.0),
+        )
     }
 
     /// Stack scalar nodes into one vector node.
@@ -600,11 +746,12 @@ impl<S: Scalar> Tape<S> {
     ///
     /// Panics if any input is not a scalar.
     pub fn stack_scalars(&mut self, parts: &[Var]) -> Var {
-        let mut buf = self.take_buf();
+        let mut buf = self.node_buf(parts.len());
         buf.extend(parts.iter().map(|p| self.nodes[p.0].value.item()));
+        let ids = self.record_inputs(parts);
         self.push(
-            Tensor::from_shape_data(vec![buf.len()], buf),
-            Op::StackScalars(parts.iter().map(|p| p.0).collect()),
+            Tensor::from_shape_data(Shape::vector(parts.len()), buf),
+            Op::StackScalars(ids),
         )
     }
 
@@ -616,22 +763,27 @@ impl<S: Scalar> Tape<S> {
     /// Panics if `items` is empty or lengths mismatch.
     pub fn weighted_sum(&mut self, weights: Var, items: &[Var]) -> Var {
         assert!(!items.is_empty(), "weighted_sum needs at least one item");
-        let mut buf = self.take_buf();
+        assert_eq!(
+            self.nodes[weights.0].value.len(),
+            items.len(),
+            "weights/items length mismatch"
+        );
+        let shape = self.nodes[items[0].0].value.dims();
+        let mut buf = self.node_buf(shape.numel());
+        buf.resize(shape.numel(), S::ZERO);
         let w = &self.nodes[weights.0].value;
-        assert_eq!(w.len(), items.len(), "weights/items length mismatch");
-        let shape = self.nodes[items[0].0].value.shape().to_vec();
-        buf.resize(self.nodes[items[0].0].value.len(), S::ZERO);
         for (t, item) in items.iter().enumerate() {
             let it = &self.nodes[item.0].value;
-            assert_eq!(it.shape(), &shape[..], "shape mismatch in add_scaled");
+            assert_eq!(it.dims(), shape, "shape mismatch in add_scaled");
             let alpha = w.data()[t];
             for (a, &b) in buf.iter_mut().zip(it.data()) {
                 *a += alpha * b;
             }
         }
+        let ids = self.record_inputs(items);
         self.push(
             Tensor::from_shape_data(shape, buf),
-            Op::WeightedSum(weights.0, items.iter().map(|p| p.0).collect()),
+            Op::WeightedSum(weights.0, ids),
         )
     }
 
@@ -642,12 +794,12 @@ impl<S: Scalar> Tape<S> {
     /// Panics if `items` is empty.
     pub fn mean_vecs(&mut self, items: &[Var]) -> Var {
         assert!(!items.is_empty(), "mean_vecs needs at least one item");
-        let mut buf = self.take_buf();
-        let shape = self.nodes[items[0].0].value.shape().to_vec();
-        buf.resize(self.nodes[items[0].0].value.len(), S::ZERO);
+        let shape = self.nodes[items[0].0].value.dims();
+        let mut buf = self.node_buf(shape.numel());
+        buf.resize(shape.numel(), S::ZERO);
         for item in items {
             let it = &self.nodes[item.0].value;
-            assert_eq!(it.shape(), &shape[..], "shape mismatch in add_assign");
+            assert_eq!(it.dims(), shape, "shape mismatch in add_assign");
             for (a, &b) in buf.iter_mut().zip(it.data()) {
                 *a += b;
             }
@@ -656,10 +808,8 @@ impl<S: Scalar> Tape<S> {
         for x in &mut buf {
             *x /= n;
         }
-        self.push(
-            Tensor::from_shape_data(shape, buf),
-            Op::MeanVecs(items.iter().map(|p| p.0).collect()),
-        )
+        let ids = self.record_inputs(items);
+        self.push(Tensor::from_shape_data(shape, buf), Op::MeanVecs(ids))
     }
 
     /// Convenience: squared error `(a - b)^2` summed to a scalar.
@@ -687,13 +837,16 @@ impl<S: Scalar> Tape<S> {
         for stale in self.grads.drain(..).flatten() {
             let (_, data) = stale.into_parts();
             if data.capacity() > 0 {
-                self.pool.push(data);
+                push_counted(&mut self.growths, &mut self.pool, data);
             }
         }
+        if self.grads.capacity() < self.nodes.len() {
+            self.growths += 1;
+        }
         self.grads.resize(self.nodes.len(), None);
-        let mut seed = self.take_buf();
+        let mut seed = self.take_buf(1);
         seed.push(S::ONE);
-        self.grads[loss.0] = Some(Tensor::from_shape_data(vec![1], seed));
+        self.grads[loss.0] = Some(Tensor::from_shape_data(Shape::vector(1), seed));
 
         for idx in (0..self.nodes.len()).rev() {
             // Take the gradient out of its slot (restored below) so the
@@ -702,51 +855,50 @@ impl<S: Scalar> Tape<S> {
             let Some(g) = self.grads[idx].take() else {
                 continue;
             };
-            // Detach the op descriptor the same way (restored below) to
-            // avoid cloning index lists on every node.
-            let op = std::mem::replace(&mut self.nodes[idx].op, Op::Leaf);
-            match &op {
+            match self.nodes[idx].op {
                 Op::Leaf => {}
                 Op::Add(a, b) => {
-                    self.bump(*a, &g);
-                    self.bump(*b, &g);
+                    self.bump(a, &g);
+                    self.bump(b, &g);
                 }
                 Op::Sub(a, b) => {
-                    self.bump(*a, &g);
+                    self.bump(a, &g);
                     let neg = self.pooled_map(&g, |x| -x);
-                    self.bump(*b, &neg);
+                    self.bump(b, &neg);
                     self.recycle(neg);
                 }
                 Op::Mul(a, b) => {
-                    let da = self.pooled_zip_node(*b, &g, |x, gg| x * gg);
-                    let db = self.pooled_zip_node(*a, &g, |x, gg| x * gg);
-                    self.bump(*a, &da);
-                    self.bump(*b, &db);
+                    let da = self.pooled_zip_node(b, &g, |x, gg| x * gg);
+                    let db = self.pooled_zip_node(a, &g, |x, gg| x * gg);
+                    self.bump(a, &da);
+                    self.bump(b, &db);
                     self.recycle(da);
                     self.recycle(db);
                 }
                 Op::Affine(a, alpha, _beta) => {
-                    let alpha = *alpha;
                     let da = self.pooled_map(&g, |x| alpha * x);
-                    self.bump(*a, &da);
+                    self.bump(a, &da);
                     self.recycle(da);
                 }
                 Op::MatVec(w, x) => {
+                    let (m, n) = {
+                        let wv = &self.nodes[w].value;
+                        (wv.rows(), wv.cols())
+                    };
                     let dw = {
-                        let mut buf = self.take_buf();
-                        let xv = &self.nodes[*x].value;
+                        let mut buf = self.take_buf(m * n);
+                        let xv = &self.nodes[x].value;
                         for &a in g.data() {
                             for &b in xv.data() {
                                 buf.push(a * b);
                             }
                         }
-                        Tensor::from_shape_data(vec![g.len(), xv.len()], buf)
+                        Tensor::from_shape_data(Shape::matrix(g.len(), xv.len()), buf)
                     };
                     let dx = {
-                        let mut buf = self.take_buf();
-                        let wv = &self.nodes[*w].value;
-                        let (m, n) = (wv.rows(), wv.cols());
+                        let mut buf = self.take_buf(n);
                         buf.resize(n, S::ZERO);
+                        let wv = &self.nodes[w].value;
                         for i in 0..m {
                             let gi = g.data()[i];
                             if gi == S::ZERO {
@@ -757,10 +909,10 @@ impl<S: Scalar> Tape<S> {
                                 *o += gi * r;
                             }
                         }
-                        Tensor::from_shape_data(vec![n], buf)
+                        Tensor::from_shape_data(Shape::vector(n), buf)
                     };
-                    self.bump(*w, &dw);
-                    self.bump(*x, &dx);
+                    self.bump(w, &dw);
+                    self.bump(x, &dx);
                     self.recycle(dw);
                     self.recycle(dx);
                 }
@@ -769,11 +921,11 @@ impl<S: Scalar> Tape<S> {
                     //   dx (m,k) += g (m,n) * w      (row-axpy over n)
                     //   dw (n,k) += g^T * x          (outer accumulation over m)
                     let (m, n) = (g.rows(), g.cols());
-                    let k = self.nodes[*w].value.cols();
+                    let k = self.nodes[w].value.cols();
                     let dx = {
-                        let mut buf = self.take_buf();
+                        let mut buf = self.take_buf(m * k);
                         buf.resize(m * k, S::ZERO);
-                        let wv = self.nodes[*w].value.data();
+                        let wv = self.nodes[w].value.data();
                         for b in 0..m {
                             let g_row = &g.data()[b * n..(b + 1) * n];
                             let out_row = &mut buf[b * k..(b + 1) * k];
@@ -787,12 +939,12 @@ impl<S: Scalar> Tape<S> {
                                 }
                             }
                         }
-                        Tensor::from_shape_data(vec![m, k], buf)
+                        Tensor::from_shape_data(Shape::matrix(m, k), buf)
                     };
                     let dw = {
-                        let mut buf = self.take_buf();
+                        let mut buf = self.take_buf(n * k);
                         buf.resize(n * k, S::ZERO);
-                        let xv = self.nodes[*x].value.data();
+                        let xv = self.nodes[x].value.data();
                         for b in 0..m {
                             let g_row = &g.data()[b * n..(b + 1) * n];
                             let x_row = &xv[b * k..(b + 1) * k];
@@ -806,42 +958,43 @@ impl<S: Scalar> Tape<S> {
                                 }
                             }
                         }
-                        Tensor::from_shape_data(vec![n, k], buf)
+                        Tensor::from_shape_data(Shape::matrix(n, k), buf)
                     };
-                    self.bump(*x, &dx);
-                    self.bump(*w, &dw);
+                    self.bump(x, &dx);
+                    self.bump(w, &dw);
                     self.recycle(dx);
                     self.recycle(dw);
                 }
                 Op::AddRows(x, bias) => {
-                    let n = self.nodes[*bias].value.len();
+                    let n = self.nodes[bias].value.len();
                     let db = {
-                        let mut buf = self.take_buf();
+                        let mut buf = self.take_buf(n);
                         buf.resize(n, S::ZERO);
                         for row in g.data().chunks_exact(n) {
                             for (o, &v) in buf.iter_mut().zip(row) {
                                 *o += v;
                             }
                         }
-                        Tensor::from_shape_data(vec![n], buf)
+                        Tensor::from_shape_data(Shape::vector(n), buf)
                     };
-                    self.bump(*x, &g);
-                    self.bump(*bias, &db);
+                    self.bump(x, &g);
+                    self.bump(bias, &db);
                     self.recycle(db);
                 }
                 Op::ConcatCols(parts) => {
                     let total = g.cols();
                     let mut off = 0;
-                    for &p in parts {
+                    for i in parts.start..parts.end {
+                        let p = self.inputs[i];
                         let (rows, w) = {
                             let pv = &self.nodes[p].value;
                             (pv.rows(), pv.cols())
                         };
-                        let mut buf = self.take_buf();
+                        let mut buf = self.take_buf(rows * w);
                         for b in 0..rows {
                             buf.extend_from_slice(&g.data()[b * total + off..b * total + off + w]);
                         }
-                        let dp = Tensor::from_shape_data(vec![rows, w], buf);
+                        let dp = Tensor::from_shape_data(Shape::matrix(rows, w), buf);
                         self.bump(p, &dp);
                         self.recycle(dp);
                         off += w;
@@ -849,40 +1002,42 @@ impl<S: Scalar> Tape<S> {
                 }
                 Op::SelectRows(sources, choice) => {
                     let w = g.cols();
-                    for (b, &c) in choice.iter().enumerate() {
-                        self.bump_row(sources[c as usize], b, &g.data()[b * w..(b + 1) * w]);
+                    for (b, i) in (choice.start..choice.end).enumerate() {
+                        let src = self.inputs[sources.start + self.choices[i] as usize];
+                        self.bump_row(src, b, &g.data()[b * w..(b + 1) * w]);
                     }
                 }
-                Op::MaskedSoftmaxRows(a, _mask) => {
+                Op::MaskedSoftmaxRows(a) => {
                     // Masked-out columns have y = 0, which zeroes both
                     // their contribution to gy and their own da — the
                     // regular softmax Jacobian applied row-wise suffices.
                     let (rows, cols) = (g.rows(), g.cols());
                     let da = {
-                        let mut buf = self.take_buf();
+                        let mut buf = self.take_buf(rows * cols);
                         for b in 0..rows {
                             let yrow = &self.nodes[idx].value.data()[b * cols..(b + 1) * cols];
                             let grow = &g.data()[b * cols..(b + 1) * cols];
                             let gy: S = yrow.iter().zip(grow).map(|(&yy, &gg)| yy * gg).sum();
                             buf.extend(yrow.iter().zip(grow).map(|(&yy, &gg)| yy * (gg - gy)));
                         }
-                        Tensor::from_shape_data(vec![rows, cols], buf)
+                        Tensor::from_shape_data(Shape::matrix(rows, cols), buf)
                     };
-                    self.bump(*a, &da);
+                    self.bump(a, &da);
                     self.recycle(da);
                 }
                 Op::WeightedSumRows(w, items) => {
                     let (bsz, t) = {
-                        let wv = &self.nodes[*w].value;
+                        let wv = &self.nodes[w].value;
                         (wv.rows(), wv.cols())
                     };
                     let width = g.cols();
-                    let mut dw = self.take_buf();
+                    let mut dw = self.take_buf(bsz * t);
                     dw.resize(bsz * t, S::ZERO);
-                    for (tt, &item) in items.iter().enumerate() {
+                    for (tt, i) in (items.start..items.end).enumerate() {
+                        let item = self.inputs[i];
                         let di = {
-                            let mut buf = self.take_buf();
-                            let wv = &self.nodes[*w].value;
+                            let mut buf = self.take_buf(bsz * width);
+                            let wv = &self.nodes[w].value;
                             for b in 0..bsz {
                                 let alpha = wv.data()[b * t + tt];
                                 buf.extend(
@@ -891,7 +1046,7 @@ impl<S: Scalar> Tape<S> {
                                         .map(|&x| alpha * x),
                                 );
                             }
-                            Tensor::from_shape_data(vec![bsz, width], buf)
+                            Tensor::from_shape_data(Shape::matrix(bsz, width), buf)
                         };
                         {
                             let iv = &self.nodes[item].value;
@@ -906,17 +1061,18 @@ impl<S: Scalar> Tape<S> {
                         self.bump(item, &di);
                         self.recycle(di);
                     }
-                    let dw = Tensor::from_shape_data(vec![bsz, t], dw);
-                    self.bump(*w, &dw);
+                    let dw = Tensor::from_shape_data(Shape::matrix(bsz, t), dw);
+                    self.bump(w, &dw);
                     self.recycle(dw);
                 }
                 Op::Concat(parts) => {
                     let mut offset = 0;
-                    for &p in parts {
+                    for i in parts.start..parts.end {
+                        let p = self.inputs[i];
                         let len = self.nodes[p].value.len();
-                        let mut buf = self.take_buf();
+                        let mut buf = self.take_buf(len);
                         buf.extend_from_slice(&g.data()[offset..offset + len]);
-                        let slice = Tensor::from_shape_data(vec![len], buf);
+                        let slice = Tensor::from_shape_data(Shape::vector(len), buf);
                         self.bump(p, &slice);
                         self.recycle(slice);
                         offset += len;
@@ -924,91 +1080,93 @@ impl<S: Scalar> Tape<S> {
                 }
                 Op::Sigmoid(a) => {
                     let da = self.pooled_zip_node(idx, &g, |yy, gg| yy * (S::ONE - yy) * gg);
-                    self.bump(*a, &da);
+                    self.bump(a, &da);
                     self.recycle(da);
                 }
                 Op::Tanh(a) => {
                     let da = self.pooled_zip_node(idx, &g, |yy, gg| (S::ONE - yy * yy) * gg);
-                    self.bump(*a, &da);
+                    self.bump(a, &da);
                     self.recycle(da);
                 }
                 Op::Relu(a) => {
                     let da = self.pooled_zip_node(
-                        *a,
+                        a,
                         &g,
                         |xx, gg| if xx > S::ZERO { gg } else { S::ZERO },
                     );
-                    self.bump(*a, &da);
+                    self.bump(a, &da);
                     self.recycle(da);
                 }
                 Op::LeakyRelu(a, slope) => {
-                    let slope = *slope;
                     let da =
                         self.pooled_zip_node(
-                            *a,
+                            a,
                             &g,
                             |xx, gg| if xx > S::ZERO { gg } else { slope * gg },
                         );
-                    self.bump(*a, &da);
+                    self.bump(a, &da);
                     self.recycle(da);
                 }
                 Op::Softmax(a) => {
                     let gy = g.dot(&self.nodes[idx].value);
                     let da = self.pooled_zip_node(idx, &g, |yy, gg| yy * (gg - gy));
-                    self.bump(*a, &da);
+                    self.bump(a, &da);
                     self.recycle(da);
                 }
                 Op::Sum(a) => {
                     let gv = g.item();
-                    let ones = self.pooled_map_node(*a, |_| gv);
-                    self.bump(*a, &ones);
+                    let ones = self.pooled_map_node(a, |_| gv);
+                    self.bump(a, &ones);
                     self.recycle(ones);
                 }
                 Op::Dot(a, b) => {
                     let gv = g.item();
-                    let da = self.pooled_map_node(*b, |x| gv * x);
-                    let db = self.pooled_map_node(*a, |x| gv * x);
-                    self.bump(*a, &da);
-                    self.bump(*b, &db);
+                    let da = self.pooled_map_node(b, |x| gv * x);
+                    let db = self.pooled_map_node(a, |x| gv * x);
+                    self.bump(a, &da);
+                    self.bump(b, &db);
                     self.recycle(da);
                     self.recycle(db);
                 }
                 Op::StackScalars(parts) => {
-                    for (t, &p) in parts.iter().enumerate() {
-                        let mut buf = self.take_buf();
+                    for (t, i) in (parts.start..parts.end).enumerate() {
+                        let p = self.inputs[i];
+                        let mut buf = self.take_buf(1);
                         buf.push(g.data()[t]);
-                        let s = Tensor::from_shape_data(vec![1], buf);
+                        let s = Tensor::from_shape_data(Shape::vector(1), buf);
                         self.bump(p, &s);
                         self.recycle(s);
                     }
                 }
                 Op::WeightedSum(w, items) => {
-                    let mut wvals = self.take_buf();
-                    wvals.extend_from_slice(self.nodes[*w].value.data());
-                    let mut dw = self.take_buf();
-                    dw.resize(items.len(), S::ZERO);
-                    for (t, &item) in items.iter().enumerate() {
+                    let count = items.end - items.start;
+                    let mut wvals = self.take_buf(count);
+                    wvals.extend_from_slice(self.nodes[w].value.data());
+                    let mut dw = self.take_buf(count);
+                    dw.resize(count, S::ZERO);
+                    for (t, i) in (items.start..items.end).enumerate() {
+                        let item = self.inputs[i];
                         let wt = wvals[t];
                         let di = self.pooled_map(&g, |x| wt * x);
                         dw[t] = self.nodes[item].value.dot(&g);
                         self.bump(item, &di);
                         self.recycle(di);
                     }
-                    let dw = Tensor::from_shape_data(vec![items.len()], dw);
-                    self.bump(*w, &dw);
+                    let dw = Tensor::from_shape_data(Shape::vector(count), dw);
+                    self.bump(w, &dw);
                     self.recycle(dw);
-                    self.pool.push(wvals);
+                    push_counted(&mut self.growths, &mut self.pool, wvals);
                 }
                 Op::MeanVecs(items) => {
-                    let n = S::from_f64(items.len() as f64);
+                    let n = S::from_f64((items.end - items.start) as f64);
                     let di = self.pooled_map(&g, |x| x / n);
-                    for &item in items {
+                    for i in items.start..items.end {
+                        let item = self.inputs[i];
                         self.bump(item, &di);
                     }
                     self.recycle(di);
                 }
             }
-            self.nodes[idx].op = op;
             self.grads[idx] = Some(g);
         }
     }
@@ -1017,9 +1175,9 @@ impl<S: Scalar> Tape<S> {
         if let Some(acc) = &mut self.grads[node] {
             acc.add_assign(g);
         } else {
-            let mut buf = self.take_buf();
+            let mut buf = self.take_buf(g.len());
             buf.extend_from_slice(g.data());
-            self.grads[node] = Some(Tensor::from_shape_data(g.shape().to_vec(), buf));
+            self.grads[node] = Some(Tensor::from_shape_data(g.dims(), buf));
         }
     }
 
@@ -1028,12 +1186,9 @@ impl<S: Scalar> Tape<S> {
     /// backward of [`Tape::select_rows`]).
     fn bump_row(&mut self, node: usize, b: usize, g_row: &[S]) {
         if self.grads[node].is_none() {
-            let (shape, len) = {
-                let v = &self.nodes[node].value;
-                (v.shape().to_vec(), v.len())
-            };
-            let mut buf = self.take_buf();
-            buf.resize(len, S::ZERO);
+            let shape = self.nodes[node].value.dims();
+            let mut buf = self.take_buf(shape.numel());
+            buf.resize(shape.numel(), S::ZERO);
             self.grads[node] = Some(Tensor::from_shape_data(shape, buf));
         }
         if let Some(acc) = &mut self.grads[node] {
@@ -1064,9 +1219,9 @@ impl<S: Scalar> Tape<S> {
     /// Panics if `backward` has not been called.
     pub fn accumulate_param_grads(&self, store: &mut ParamStore<S>) {
         assert!(!self.grads.is_empty(), "call backward() first");
-        for (&id, &var) in &self.param_cache {
-            if let Some(g) = &self.grads[var.0] {
-                store.accumulate_grad(id, g);
+        for (id, var) in self.params.iter().enumerate() {
+            if let Some(g) = var.and_then(|v| self.grads[v.0].as_ref()) {
+                store.accumulate_grad(ParamId(id), g);
             }
         }
     }
@@ -1546,8 +1701,73 @@ mod tests {
         reused.reset();
         assert!(
             reused.pooled_buffers() > before,
-            "reset harvests node and gradient buffers into the pool"
+            "reset harvests gradient buffers into the pool"
         );
+    }
+
+    /// A forward through every op kind, its multi-input ops' index lists
+    /// and masks included, on parameters and pooled leaves.
+    fn every_op_forward(tape: &mut Tape, store: &ParamStore, w_id: ParamId, shift: f64) -> Var {
+        let w = tape.param(store, w_id);
+        let x = tape.leaf_from_iter(Shape::matrix(2, 3), (0..6).map(|i| i as f64 * 0.25 - shift));
+        let h = tape.matmul_bt(x, w);
+        let bias = tape.leaf_from_iter(Shape::vector(3), [0.5, -0.5, shift]);
+        let h = tape.add_rows(h, bias);
+        let h = tape.tanh(h);
+        let g = tape.sigmoid(h);
+        let cat = tape.concat_cols(&[h, g]);
+        let picked = tape.select_rows(&[h, g], &[1, 0]);
+        let scores = tape.matmul_bt(g, w);
+        let att = tape.masked_softmax_rows(scores, &[true, false, true, true, true, true]);
+        let mixed = tape.weighted_sum_rows(att, &[picked, h, g]);
+        let r = tape.relu(mixed);
+        let l = tape.leaky_relu(r, 0.1);
+        let v = tape.leaf_from_iter(Shape::vector(3), [shift, 1.0, -0.5]);
+        let wv = tape.matvec(l, v);
+        let sm = tape.softmax(wv);
+        let s0 = tape.sum(sm);
+        let s1 = tape.dot(sm, wv);
+        let st = tape.stack_scalars(&[s0, s1]);
+        let ws = tape.weighted_sum(st, &[wv, sm]);
+        let mv = tape.mean_vecs(&[ws, wv]);
+        let c = tape.concat(&[mv, ws]);
+        let a = tape.affine(c, 2.0, -1.0);
+        let m = tape.mul(a, c);
+        let d = tape.sub(m, c);
+        let e = tape.add(d, c);
+        let total = tape.sum(e);
+        let side = tape.sum(cat);
+        tape.add(total, side)
+    }
+
+    /// Once a tape has run a forward at some shape, `reset` and the same
+    /// forward again grow no storage, and give the same bits as a fresh
+    /// tape.
+    #[test]
+    fn warm_forward_grows_no_storage() {
+        let mut store = ParamStore::new();
+        let w_id = store.add(
+            "w",
+            Tensor::matrix(3, 3, vec![0.3, -0.2, 0.5, 0.1, 0.4, -0.6, 0.2, 0.2, -0.1]),
+        );
+        let mut tape = Tape::new();
+        for shift in [0.0, 0.3] {
+            tape.reset();
+            every_op_forward(&mut tape, &store, w_id, shift);
+        }
+        let warm = tape.heap_growths();
+        assert!(warm > 0, "a cold tape allocates");
+        for shift in [0.7, -1.1] {
+            tape.reset();
+            let out = every_op_forward(&mut tape, &store, w_id, shift);
+            assert_eq!(tape.heap_growths(), warm, "warm forward at shift {shift}");
+            let mut fresh = Tape::new();
+            let want = every_op_forward(&mut fresh, &store, w_id, shift);
+            assert_eq!(
+                tape.value(out).item().to_bits(),
+                fresh.value(want).item().to_bits()
+            );
+        }
     }
 
     #[test]

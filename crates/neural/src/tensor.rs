@@ -6,6 +6,93 @@
 use crate::scalar::Scalar;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Deref;
+
+/// The shape of a [`Tensor`]: rank 1 (`[n]`) or rank 2 (`[rows, cols]`),
+/// stored inline so that making, copying or dropping a tensor's shape
+/// never touches the heap. It dereferences to the `&[usize]` view that
+/// [`Tensor::shape`] returns and serializes as that same list.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Shape {
+    /// `[n, 0]` for a vector, `[rows, cols]` for a matrix; the unused
+    /// trailing dimension is always `0` so the derived equality is exact.
+    dims: [usize; 2],
+    rank: u8,
+}
+
+impl Shape {
+    /// The shape `[n]` of a length-`n` vector.
+    pub const fn vector(n: usize) -> Self {
+        Self {
+            dims: [n, 0],
+            rank: 1,
+        }
+    }
+
+    /// The shape `[rows, cols]` of a row-major matrix.
+    pub const fn matrix(rows: usize, cols: usize) -> Self {
+        Self {
+            dims: [rows, cols],
+            rank: 2,
+        }
+    }
+
+    /// Number of elements a tensor of this shape holds.
+    pub fn numel(&self) -> usize {
+        self.iter().product()
+    }
+}
+
+impl Deref for Shape {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.dims[..usize::from(self.rank)]
+    }
+}
+
+impl fmt::Debug for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl From<Vec<usize>> for Shape {
+    /// # Panics
+    ///
+    /// Panics unless `dims` has one or two entries: those are the only
+    /// ranks a [`Tensor`] supports.
+    fn from(dims: Vec<usize>) -> Self {
+        assert!(
+            matches!(dims.len(), 1 | 2),
+            "unsupported tensor rank {} in shape {dims:?}",
+            dims.len()
+        );
+        match *dims {
+            [rows, cols] => Self::matrix(rows, cols),
+            _ => Self::vector(dims[0]),
+        }
+    }
+}
+
+impl Serialize for Shape {
+    fn to_value(&self) -> serde::Value {
+        (**self).to_value()
+    }
+}
+
+impl Deserialize for Shape {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        match *Vec::<usize>::from_value(v)? {
+            [n] => Ok(Self::vector(n)),
+            [rows, cols] => Ok(Self::matrix(rows, cols)),
+            ref dims => Err(serde::Error::custom(format!(
+                "tensor shape {dims:?} has rank {}, expected 1 or 2",
+                dims.len()
+            ))),
+        }
+    }
+}
 
 /// A dense tensor: a flat buffer plus a shape.
 ///
@@ -30,7 +117,7 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Tensor<S: Scalar = f64> {
-    shape: Vec<usize>,
+    shape: Shape,
     data: Vec<S>,
 }
 
@@ -38,7 +125,7 @@ impl<S: Scalar> Tensor<S> {
     /// A vector tensor from raw data.
     pub fn from_vec(data: Vec<S>) -> Self {
         Self {
-            shape: vec![data.len()],
+            shape: Shape::vector(data.len()),
             data,
         }
     }
@@ -66,7 +153,7 @@ impl<S: Scalar> Tensor<S> {
             data.len()
         );
         Self {
-            shape: vec![rows, cols],
+            shape: Shape::matrix(rows, cols),
             data,
         }
     }
@@ -79,7 +166,7 @@ impl<S: Scalar> Tensor<S> {
     /// A zero tensor with the same shape as `self`.
     pub fn zeros_like(&self) -> Self {
         Self {
-            shape: self.shape.clone(),
+            shape: self.shape,
             data: vec![S::ZERO; self.data.len()],
         }
     }
@@ -87,6 +174,11 @@ impl<S: Scalar> Tensor<S> {
     /// The shape.
     pub fn shape(&self) -> &[usize] {
         &self.shape
+    }
+
+    /// The shape as an inline, `Copy` value.
+    pub fn dims(&self) -> Shape {
+        self.shape
     }
 
     /// The flat data buffer.
@@ -126,7 +218,7 @@ impl<S: Scalar> Tensor<S> {
 
     /// Whether this is a rank-2 tensor.
     pub fn is_matrix(&self) -> bool {
-        self.shape.len() == 2
+        self.shape.rank == 2
     }
 
     /// Rows of a matrix.
@@ -213,7 +305,7 @@ impl<S: Scalar> Tensor<S> {
     pub fn zip_map(&self, other: &Tensor<S>, f: impl Fn(S, S) -> S) -> Tensor<S> {
         assert_eq!(self.shape, other.shape, "shape mismatch in zip_map");
         Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             data: self
                 .data
                 .iter()
@@ -226,7 +318,7 @@ impl<S: Scalar> Tensor<S> {
     /// Elementwise unary map.
     pub fn map(&self, f: impl Fn(S) -> S) -> Tensor<S> {
         Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             data: self.data.iter().map(|&a| f(a)).collect(),
         }
     }
@@ -289,9 +381,10 @@ impl<S: Scalar> Tensor<S> {
     /// # Panics
     ///
     /// Panics if `data.len()` does not match the shape's element count.
-    pub fn from_shape_data(shape: Vec<usize>, data: Vec<S>) -> Self {
+    pub fn from_shape_data(shape: impl Into<Shape>, data: Vec<S>) -> Self {
+        let shape = shape.into();
         assert_eq!(
-            shape.iter().product::<usize>(),
+            shape.numel(),
             data.len(),
             "shape {shape:?} does not match data length {}",
             data.len()
@@ -299,8 +392,8 @@ impl<S: Scalar> Tensor<S> {
         Self { shape, data }
     }
 
-    /// Decompose into `(shape, data)`, surrendering both allocations.
-    pub fn into_parts(self) -> (Vec<usize>, Vec<S>) {
+    /// Decompose into `(shape, data)`, surrendering the data allocation.
+    pub fn into_parts(self) -> (Shape, Vec<S>) {
         (self.shape, self.data)
     }
 
@@ -311,7 +404,7 @@ impl<S: Scalar> Tensor<S> {
     /// stores between the training dtype and the `f64` reference path.
     pub fn cast<T: Scalar>(&self) -> Tensor<T> {
         Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             data: self.data.iter().map(|&x| T::from_f64(x.to_f64())).collect(),
         }
     }
@@ -549,10 +642,13 @@ fn dot_lanes<S: Scalar>(a: &[S], bt_rows: &[S], out: &mut [S]) {
     debug_assert_eq!(bt_rows.len(), LANES * k);
     debug_assert_eq!(out.len(), LANES);
     let mut acc = [S::ZERO; LANES];
+    // One length-`k` slice per output column: indexing them by `i < k`
+    // needs no bounds check, where `bt_rows[i + l * k]` needed one per
+    // multiply-add. The products and their order are unchanged.
+    let rows: [&[S]; LANES] = std::array::from_fn(|l| &bt_rows[l * k..(l + 1) * k]);
     for (i, &x) in a.iter().enumerate() {
-        let col = &bt_rows[i..];
-        for (l, acc_l) in acc.iter_mut().enumerate() {
-            *acc_l += x * col[l * k];
+        for (acc_l, row) in acc.iter_mut().zip(&rows) {
+            *acc_l += x * row[i];
         }
     }
     out.copy_from_slice(&acc);

@@ -5,7 +5,7 @@
 use crate::error::PlacementError;
 use crate::problem::PlacementProblem;
 use chainnet::graph::PlacementGraph;
-use chainnet::model::Surrogate;
+use chainnet::model::{Surrogate, Tape};
 use chainnet_obs::{Obs, Tracer};
 use chainnet_qsim::approx::{solve, ApproxConfig};
 use chainnet_qsim::model::Placement;
@@ -132,11 +132,16 @@ impl Evaluator for SimEvaluator {
 /// Surrogate evaluator backed by any trained [`Surrogate`] (ChainNet, GIN
 /// or GAT): builds the placement graph with the model's feature mode and
 /// sums the predicted per-chain throughputs.
+///
+/// The evaluator owns one tape that every batched forward resets and
+/// reuses, so a search's forwards after the first allocate no tape
+/// storage.
 #[derive(Debug, Clone)]
 pub struct GnnEvaluator<S> {
     model: S,
     count: u64,
     tracer: Tracer,
+    tape: Tape,
 }
 
 impl<S: Surrogate> GnnEvaluator<S> {
@@ -146,6 +151,7 @@ impl<S: Surrogate> GnnEvaluator<S> {
             model,
             count: 0,
             tracer: Tracer::disabled(),
+            tape: Tape::new(),
         }
     }
 
@@ -237,7 +243,7 @@ impl<S: Surrogate> BatchEvaluator for GnnEvaluator<S> {
         // The batched forward over every bound candidate; the span keeps
         // its historical name so traces stay comparable across versions.
         let matmul_span = self.tracer.span("neural.matmul");
-        let batch_preds = self.model.predict_batch(&graphs);
+        let batch_preds = self.model.predict_batch_with(&mut self.tape, &graphs);
         matmul_span.close();
         let mut totals = batch_preds
             .into_iter()

@@ -7,7 +7,12 @@
 
 /// Steady-state probability that an M/M/1/K queue holds `n` jobs.
 ///
-/// `k` is the total capacity in jobs (queue plus server).
+/// `k` is the total capacity in jobs (queue plus server). The textbook
+/// form `(1 − ρ)·ρⁿ / (1 − ρ^(K+1))` overflows for large `ρ = λ/μ`;
+/// wherever it does, or its value leaves `[0, 1]`, the equivalent
+/// `r = 1/ρ` form `(1 − r)·r^(K−n) / (1 − r^(K+1))` is used instead, so
+/// the result is a probability for every positive pair of rates. Its
+/// `ρ → ∞` limit puts all mass on `n = K`.
 ///
 /// # Panics
 ///
@@ -17,10 +22,25 @@ pub fn mm1k_prob(lambda: f64, mu: f64, k: usize, n: usize) -> f64 {
     assert!(k >= 1, "capacity must be at least 1");
     assert!(n <= k, "state must not exceed capacity");
     let rho = lambda / mu;
+    textbook_prob(rho, k, n).unwrap_or_else(|| overloaded_prob(rho, k, n))
+}
+
+/// The textbook M/M/1/K state probability, or `None` where it overflows
+/// or leaves `[0, 1]` (only for `ρ > 1`).
+fn textbook_prob(rho: f64, k: usize, n: usize) -> Option<f64> {
     if (rho - 1.0).abs() < 1e-12 {
-        return 1.0 / (k as f64 + 1.0);
+        return Some(1.0 / (k as f64 + 1.0));
     }
-    (1.0 - rho) * rho.powi(n as i32) / (1.0 - rho.powi(k as i32 + 1))
+    let top = rho.powi(k as i32 + 1);
+    let p = (1.0 - rho) * rho.powi(n as i32) / (1.0 - top);
+    (top.is_finite() && (0.0..=1.0).contains(&p)).then_some(p)
+}
+
+/// The M/M/1/K state probability in powers of `r = 1/ρ`, for `ρ > 1`:
+/// no term overflows, and `r^m` underflowing to `0` is its exact limit.
+fn overloaded_prob(rho: f64, k: usize, n: usize) -> f64 {
+    let r = 1.0 / rho;
+    (1.0 - r) * r.powi((k - n) as i32) / (1.0 - r.powi(k as i32 + 1))
 }
 
 /// Loss (blocking) probability of an M/M/1/K queue: the probability an
@@ -45,9 +65,23 @@ pub fn mm1k_mean_jobs(lambda: f64, mu: f64, k: usize) -> f64 {
         .sum()
 }
 
+/// Loss probabilities above this make `1 − loss` cancel away more than
+/// 20 of its 53 bits; the throughput is then summed from the states
+/// that admit an arrival instead.
+const CANCELLING_LOSS: f64 = 1.0 - 1.0 / (1u64 << 20) as f64;
+
 /// Effective throughput of an M/M/1/K queue: `lambda * (1 - loss)`.
+///
+/// Where the loss is so close to `1` that `1 − loss` cancels, the
+/// throughput is `λ · Σ_{n<K} Pₙ` instead, which stays accurate (and
+/// within `[0, μ]`) for any `ρ`.
 pub fn mm1k_throughput(lambda: f64, mu: f64, k: usize) -> f64 {
-    lambda * (1.0 - mm1k_loss_probability(lambda, mu, k))
+    let loss = mm1k_loss_probability(lambda, mu, k);
+    if loss <= CANCELLING_LOSS {
+        lambda * (1.0 - loss)
+    } else {
+        lambda * (0..k).map(|n| mm1k_prob(lambda, mu, k, n)).sum::<f64>()
+    }
 }
 
 /// Mean response time (sojourn) of an M/M/1/K queue by Little's law.

@@ -293,6 +293,22 @@ mod tests {
     }
 
     #[test]
+    fn overloaded_device_yields_probabilities_not_nan() {
+        // ρ = 0.9/μ from 9e19 to 9e299: the textbook M/M/1/K powers of ρ
+        // overflow or cancel here.
+        for mu in [1e-20, 1e-100, 1e-300] {
+            let res = solve(&single_station(0.9, mu, 5.0), &ApproxConfig::default());
+            let chain = &res.chains[0];
+            assert!(
+                (0.0..=1.0).contains(&chain.loss_probability),
+                "μ {mu}: {chain:?}"
+            );
+            assert!((0.0..=0.9).contains(&chain.throughput), "μ {mu}: {chain:?}");
+            assert!(chain.latency >= 1.0 / mu, "μ {mu}: {chain:?}");
+        }
+    }
+
+    #[test]
     fn tandem_close_to_simulation() {
         let devices = vec![
             Device::new(8.0, 1.0).unwrap(),
