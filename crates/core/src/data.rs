@@ -2,7 +2,6 @@
 
 use crate::config::TargetMode;
 use crate::graph::PlacementGraph;
-use chainnet_qsim::sim::SimResult;
 use serde::{Deserialize, Serialize};
 
 /// Ground-truth performance of one service chain.
@@ -21,30 +20,6 @@ pub struct LabeledGraph {
     pub graph: PlacementGraph,
     /// Per-chain targets, aligned with `graph.chains`.
     pub targets: Vec<ChainTargets>,
-}
-
-impl LabeledGraph {
-    /// Pair a graph with the per-chain measurements of a simulation run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result's chain count differs from the graph's.
-    pub fn from_sim(graph: PlacementGraph, result: &SimResult) -> Self {
-        assert_eq!(
-            graph.num_chains(),
-            result.chains.len(),
-            "graph/result chain count mismatch"
-        );
-        let targets = result
-            .chains
-            .iter()
-            .map(|c| ChainTargets {
-                throughput: c.throughput,
-                latency: c.mean_latency,
-            })
-            .collect();
-        Self { graph, targets }
-    }
 }
 
 /// Floor used when a chain had no completions (latency unobserved): the

@@ -48,7 +48,6 @@
 
 pub mod ablation;
 pub mod baselines;
-pub mod calibrate;
 pub mod config;
 pub mod data;
 pub mod dot;
@@ -60,11 +59,10 @@ pub mod train;
 
 pub use ablation::AblationVariant;
 pub use baselines::{BaselineGnn, BaselineKind};
-pub use calibrate::{AffineCorrection, CalibratedSurrogate};
 pub use config::{FeatureMode, ModelConfig, TargetMode, TrainConfig};
 pub use data::{ChainTargets, LabeledGraph};
 pub use graph::PlacementGraph;
 pub use graph_batch::{BatchTargets, GraphBatch};
 pub use metrics::{ApeCollector, ApeSummary};
-pub use model::{AttentionRecord, ChainNet, ForwardTrace, PerfPrediction, Surrogate};
+pub use model::{ChainNet, PerfPrediction, Surrogate};
 pub use train::{GuardConfig, TrainError, TrainReport, Trainer};

@@ -243,11 +243,6 @@ impl TrainReport {
     pub fn final_train_loss(&self) -> Option<f64> {
         self.history.last().map(|e| e.train_loss)
     }
-
-    /// The final validation loss.
-    pub fn final_val_loss(&self) -> Option<f64> {
-        self.history.last().and_then(|e| e.val_loss)
-    }
 }
 
 mod step {

@@ -381,31 +381,6 @@ pub fn to_labeled(samples: &[RawSample], mode: FeatureMode) -> Vec<LabeledGraph>
     samples.iter().map(|s| s.to_labeled(mode)).collect()
 }
 
-/// Save raw samples as JSON, atomically: the bytes land in a temp file
-/// that is fsynced and renamed over `path`, so a crash mid-export can
-/// never leave a torn dataset behind.
-///
-/// # Errors
-///
-/// Returns I/O or serialization errors.
-pub fn save_raw(samples: &[RawSample], path: &std::path::Path) -> std::io::Result<()> {
-    let json = serde_json::to_string(samples)?;
-    chainnet_ckpt::atomic_write(path, json.as_bytes()).map_err(|e| match &e {
-        CkptError::Io { kind, .. } => std::io::Error::new(*kind, e.to_string()),
-        _ => std::io::Error::other(e.to_string()),
-    })
-}
-
-/// Load raw samples from JSON.
-///
-/// # Errors
-///
-/// Returns I/O or deserialization errors.
-pub fn load_raw(path: &std::path::Path) -> std::io::Result<Vec<RawSample>> {
-    let json = std::fs::read_to_string(path)?;
-    Ok(serde_json::from_str(&json)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,11 +434,9 @@ mod tests {
     fn raw_samples_round_trip_through_json() {
         let cfg = DatasetConfig::new(2, 3).with_horizon(150.0).with_threads(1);
         let samples = generate_raw_dataset(NetworkParams::type_i(), &cfg).unwrap();
-        let dir = std::env::temp_dir().join("chainnet_dataset_test.json");
-        save_raw(&samples, &dir).unwrap();
-        let back = load_raw(&dir).unwrap();
+        let json = serde_json::to_string(&samples).unwrap();
+        let back: Vec<RawSample> = serde_json::from_str(&json).unwrap();
         assert_eq!(samples, back);
-        let _ = std::fs::remove_file(&dir);
     }
 
     /// A fresh (removed-if-present) per-process temp dir for shards.

@@ -1,5 +1,5 @@
-//! Item-tree analyzer: a brace/attribute-aware itemizer over
-//! [`Masked`](crate::tokenizer::Masked) source.
+//! Item-tree analyzer: a brace/attribute-aware itemizer over [`Masked`]
+//! source.
 //!
 //! PR 3's rules were flat token scans — they could say *that* a banned
 //! pattern appears but not *where* in the item structure. The region

@@ -2,10 +2,9 @@
 //! machinery. R1, R2, R3, R7 and R9 are enforced by rustc and clippy
 //! (see `docs/lint_rules.md`).
 //!
-//! All rules run on [`Masked`](crate::tokenizer::Masked) text, so
-//! banned patterns inside comments and string literals never fire.
-//! Region scoping comes from the [`ItemTree`](crate::items::ItemTree)
-//! built per file: code inside a `#[cfg(test)]` item (directly
+//! All rules run on [`Masked`] text, so banned patterns inside comments
+//! and string literals never fire. Region scoping comes from the
+//! [`ItemTree`] built per file: code inside a `#[cfg(test)]` item (directly
 //! attributed or inherited from an enclosing `mod`/`impl`) is skipped
 //! by every rule, and R6 applies only inside function bodies annotated
 //! `// lint:zero_alloc`.
@@ -887,7 +886,6 @@ fn f(t: &Tracer, obs: &Obs) {
         let documented = readme_span_names(&readme);
         for name in [
             "qsim.run",
-            "qsim.replication",
             "neural.forward",
             "neural.backward",
             "neural.matmul",

@@ -258,34 +258,6 @@ impl<S: Scalar> Tensor<S> {
         Tensor::from_vec(out)
     }
 
-    /// Transposed matrix-vector product `self^T * x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `self` is `(m, n)` and `x` has length `m`.
-    pub fn matvec_t(&self, x: &Tensor<S>) -> Tensor<S> {
-        assert!(self.is_matrix(), "matvec_t on non-matrix");
-        let (m, n) = (self.shape[0], self.shape[1]);
-        assert_eq!(
-            x.len(),
-            m,
-            "matvec_t: matrix rows {m} != vec len {}",
-            x.len()
-        );
-        let mut out = vec![S::ZERO; n];
-        for i in 0..m {
-            let xi = x.data[i];
-            if xi == S::ZERO {
-                continue;
-            }
-            let row = &self.data[i * n..(i + 1) * n];
-            for (o, &r) in out.iter_mut().zip(row) {
-                *o += xi * r;
-            }
-        }
-        Tensor::from_vec(out)
-    }
-
     /// Outer product `x * y^T` as an `(x.len, y.len)` matrix.
     pub fn outer(x: &Tensor<S>, y: &Tensor<S>) -> Tensor<S> {
         let mut data = Vec::with_capacity(x.len() * y.len());
@@ -448,9 +420,9 @@ impl<S: Scalar> Tensor<S> {
     /// row of `bt`, so the inner dot product streams both operands
     /// sequentially. The `(i, j)` space is walked in cache-sized tiles
     /// so the active rows of `bt` stay resident while a tile of A rows
-    /// is swept, and each tile row is computed [`LANES`] output columns
-    /// at a time so the FP pipeline sees independent accumulator
-    /// chains. Each output element is still one ascending-`k`
+    /// is swept, and each tile row is computed eight output columns
+    /// (`LANES`) at a time so the FP pipeline sees independent
+    /// accumulator chains. Each output element is still one ascending-`k`
     /// accumulation into a single scalar — bit-identical to
     /// [`matmul_naive`](Self::matmul_naive).
     ///
@@ -683,13 +655,6 @@ mod tests {
         let m = Tensor::matrix(2, 3, vec![1., 0., 2., -1., 1., 0.]);
         let v = Tensor::from_vec(vec![1., 2., 3.]);
         assert_eq!(m.matvec(&v).data(), &[7.0, 1.0]);
-    }
-
-    #[test]
-    fn matvec_t_is_transpose() {
-        let m = Tensor::matrix(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        let v = Tensor::from_vec(vec![1., 1.]);
-        assert_eq!(m.matvec_t(&v).data(), &[5.0, 7.0, 9.0]);
     }
 
     #[test]

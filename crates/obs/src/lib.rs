@@ -117,16 +117,6 @@ impl Obs {
         }
     }
 
-    /// Attach a shared cancellation flag (builder-style). Unlike the
-    /// event/tracer builders this does **not** imply enabled:
-    /// cancellation is control flow, not telemetry, and must work on a
-    /// metrics-disabled context too.
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: CancelFlag) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
     /// Attach an event sink (builder-style); implies enabled.
     #[must_use]
     pub fn with_events(mut self, events: EventLog) -> Self {
@@ -174,16 +164,6 @@ mod tests {
         assert_eq!(trace.spans[0].name, "demo.phase");
         // The default context keeps the tracer off.
         assert!(!Obs::enabled().tracer.is_enabled());
-    }
-
-    #[test]
-    fn with_cancel_shares_the_flag_without_enabling() {
-        let flag = CancelFlag::new();
-        let obs = Obs::disabled().with_cancel(flag.clone());
-        assert!(!obs.is_enabled());
-        assert!(!obs.cancel.is_set());
-        flag.set();
-        assert!(obs.cancel.is_set());
     }
 
     #[test]

@@ -694,8 +694,8 @@ mod tests {
     fn chrome_trace_is_valid_and_round_trips_structure() {
         let t = Tracer::enabled();
         {
-            let _a = t.span("qsim.run");
-            t.span("qsim.replication").close();
+            let _a = t.span("sa.trial");
+            t.span("sa.iteration").close();
         }
         let trace = t.take();
         let chrome = trace.to_chrome_trace();
@@ -713,9 +713,9 @@ mod tests {
         let child = back
             .spans
             .iter()
-            .find(|s| s.name == "qsim.replication")
+            .find(|s| s.name == "sa.iteration")
             .unwrap();
-        let root = back.spans.iter().find(|s| s.name == "qsim.run").unwrap();
+        let root = back.spans.iter().find(|s| s.name == "sa.trial").unwrap();
         assert_eq!(child.parent, root.id);
     }
 

@@ -159,11 +159,6 @@ impl<S: Surrogate> GnnEvaluator<S> {
     pub fn model(&self) -> &S {
         &self.model
     }
-
-    /// Unwrap the model.
-    pub fn into_model(self) -> S {
-        self.model
-    }
 }
 
 impl<S: Surrogate> Evaluator for GnnEvaluator<S> {

@@ -42,14 +42,12 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod error;
 pub mod evaluator;
 pub mod problem;
 pub mod sa;
 pub mod strategies;
 
-pub use batch::optimize_batch;
 pub use error::PlacementError;
 pub use evaluator::{
     loss_probability, relative_loss_reduction, ApproxEvaluator, BatchEvaluator, Evaluator,

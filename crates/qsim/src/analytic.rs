@@ -2,8 +2,9 @@
 //!
 //! The paper notes (Section III) that exact analysis of multi-chain
 //! finite-buffer networks is intractable — these formulas cover the simple
-//! special cases (M/M/1, M/M/1/K) where exact answers exist, which we use
-//! as ground truth in tests and as a documented sanity baseline.
+//! special cases where exact answers exist. The M/M/1/K forms feed the
+//! approximate evaluator and pin the simulator in tests; the M/M/c/K forms
+//! are test-only oracles for the multi-server simulator.
 
 /// Steady-state probability that an M/M/1/K queue holds `n` jobs.
 ///
@@ -89,26 +90,14 @@ pub fn mm1k_response_time(lambda: f64, mu: f64, k: usize) -> f64 {
     mm1k_mean_jobs(lambda, mu, k) / mm1k_throughput(lambda, mu, k)
 }
 
-/// Mean response time of an (infinite-buffer) M/M/1 queue, `1 / (mu - lambda)`.
-///
-/// # Panics
-///
-/// Panics unless `0 < lambda < mu`.
-pub fn mm1_response_time(lambda: f64, mu: f64) -> f64 {
-    assert!(
-        lambda > 0.0 && mu > lambda,
-        "stability requires lambda < mu"
-    );
-    1.0 / (mu - lambda)
-}
-
 /// Steady-state probability that an M/M/c/K queue holds `n` jobs
 /// (`c` parallel servers, total capacity `k >= c`).
 ///
 /// # Panics
 ///
 /// Panics on non-positive rates, `c == 0`, `k < c`, or `n > k`.
-pub fn mmck_prob(lambda: f64, mu: f64, c: usize, k: usize, n: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn mmck_prob(lambda: f64, mu: f64, c: usize, k: usize, n: usize) -> f64 {
     assert!(lambda > 0.0 && mu > 0.0, "rates must be positive");
     assert!(c >= 1, "need at least one server");
     assert!(k >= c, "capacity must cover the servers");
@@ -128,19 +117,22 @@ pub fn mmck_prob(lambda: f64, mu: f64, c: usize, k: usize, n: usize) -> f64 {
 }
 
 /// Blocking probability of an M/M/c/K queue.
-pub fn mmck_loss_probability(lambda: f64, mu: f64, c: usize, k: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn mmck_loss_probability(lambda: f64, mu: f64, c: usize, k: usize) -> f64 {
     mmck_prob(lambda, mu, c, k, k)
 }
 
 /// Mean number of jobs in an M/M/c/K queue.
-pub fn mmck_mean_jobs(lambda: f64, mu: f64, c: usize, k: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn mmck_mean_jobs(lambda: f64, mu: f64, c: usize, k: usize) -> f64 {
     (0..=k)
         .map(|n| n as f64 * mmck_prob(lambda, mu, c, k, n))
         .sum()
 }
 
 /// Effective throughput of an M/M/c/K queue.
-pub fn mmck_throughput(lambda: f64, mu: f64, c: usize, k: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn mmck_throughput(lambda: f64, mu: f64, c: usize, k: usize) -> f64 {
     lambda * (1.0 - mmck_loss_probability(lambda, mu, c, k))
 }
 
@@ -181,17 +173,6 @@ mod tests {
         assert!(x < 1.0 + 1e-9);
         let x2 = mm1k_throughput(0.5, 1.0, 5);
         assert!(x2 <= 0.5);
-    }
-
-    #[test]
-    fn mm1_known_value() {
-        assert!((mm1_response_time(0.5, 1.0) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "stability")]
-    fn mm1_rejects_unstable() {
-        mm1_response_time(2.0, 1.0);
     }
 
     #[test]

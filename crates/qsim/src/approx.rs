@@ -91,7 +91,6 @@ pub struct ApproxResult {
 /// ```
 pub fn solve(model: &SystemModel, config: &ApproxConfig) -> ApproxResult {
     let num_devices = model.devices().len();
-    let num_chains = model.chains().len();
 
     // Queue capacity in jobs per device under the memory policy.
     let capacity: Vec<usize> = model
@@ -214,7 +213,6 @@ pub fn solve(model: &SystemModel, config: &ApproxConfig) -> ApproxResult {
         })
         .collect();
     let total = chains.iter().map(|c| c.throughput).sum();
-    let _ = num_chains;
     ApproxResult {
         chains,
         device_loss,

@@ -30,8 +30,6 @@
 
 use crate::error::{QsimError, Result};
 use crate::model::{ChainIdx, DeviceIdx, SystemModel};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// One kind of injected fault.
@@ -161,55 +159,6 @@ impl FaultSchedule {
     #[must_use]
     pub fn calm(self, time: f64, chain: ChainIdx) -> Self {
         self.at(time, FaultKind::ArrivalCalm { chain })
-    }
-
-    /// A seeded random schedule of `count` crash/recover pairs over
-    /// `[0, horizon]`, each outage lasting `mean_outage` on average
-    /// (exponential), targeting uniformly random devices among
-    /// `num_devices`. Deterministic in `seed`; uses its own RNG, never
-    /// the simulation's.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QsimError::InvalidParameter`] if `num_devices == 0`,
-    /// `horizon` is not positive and finite, or `mean_outage` is not
-    /// positive and finite.
-    pub fn random_crashes(
-        seed: u64,
-        horizon: f64,
-        num_devices: usize,
-        count: usize,
-        mean_outage: f64,
-    ) -> Result<Self> {
-        if num_devices == 0 {
-            return Err(QsimError::invalid_parameter("num_devices", "must be >= 1"));
-        }
-        if !horizon.is_finite() || horizon <= 0.0 {
-            return Err(QsimError::invalid_parameter(
-                "horizon",
-                format!("must be finite and positive, got {horizon}"),
-            ));
-        }
-        if !mean_outage.is_finite() || mean_outage <= 0.0 {
-            return Err(QsimError::invalid_parameter(
-                "mean_outage",
-                format!("must be finite and positive, got {mean_outage}"),
-            ));
-        }
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut schedule = Self::new();
-        for _ in 0..count {
-            let device = rng.gen_range(0..num_devices);
-            let start = rng.gen::<f64>() * horizon;
-            let u: f64 = rng.gen();
-            // u is in [0, 1), so 1 - u is in (0, 1]; clamp away the
-            // zero-length outage at u == 0.
-            let outage = (-(1.0 - u).ln() * mean_outage).max(1e-9);
-            schedule = schedule
-                .crash(start, device)
-                .recover(start + outage, device);
-        }
-        Ok(schedule)
     }
 
     /// Normalize the schedule against a simulation `horizon`,
@@ -468,23 +417,6 @@ mod tests {
             .degrade(1.0, 0, 0.25)
             .validate(&m)
             .is_ok());
-    }
-
-    #[test]
-    fn random_crashes_is_deterministic_in_seed() {
-        let a = FaultSchedule::random_crashes(9, 1_000.0, 4, 5, 20.0).unwrap();
-        let b = FaultSchedule::random_crashes(9, 1_000.0, 4, 5, 20.0).unwrap();
-        let c = FaultSchedule::random_crashes(10, 1_000.0, 4, 5, 20.0).unwrap();
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a.len(), 10); // crash + recover per outage
-    }
-
-    #[test]
-    fn random_crashes_validates_inputs() {
-        assert!(FaultSchedule::random_crashes(1, 100.0, 0, 1, 1.0).is_err());
-        assert!(FaultSchedule::random_crashes(1, -1.0, 2, 1, 1.0).is_err());
-        assert!(FaultSchedule::random_crashes(1, 100.0, 2, 1, 0.0).is_err());
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod dist;
 pub mod error;
 pub mod faults;
 pub mod model;
-pub mod replications;
 pub mod sim;
 pub mod stats;
 pub mod trace;

@@ -106,13 +106,6 @@ impl ServiceChain {
         })
     }
 
-    /// Replace the interarrival process (builder-style).
-    #[must_use]
-    pub fn with_interarrival(mut self, dist: Dist) -> Self {
-        self.interarrival = Some(dist);
-        self
-    }
-
     /// Set per-hop link success probabilities (builder-style).
     ///
     /// # Panics
